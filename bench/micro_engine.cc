@@ -696,10 +696,13 @@ int RunDumpMetricsMode() {
     plan::Plan sjoin(plan::Join(
         plan::Project(plan::Scan("TWTR"), {"user_id", "tweet_text"}),
         counts, {{"user_id", "user_id"}}));
-    if (!bed->session().Run(std::move(sjoin), RunOptions{.rewrite = false})
-             .ok()) {
-      std::abort();
-    }
+    auto joined =
+        bed->session().Run(std::move(sjoin), RunOptions{.rewrite = false});
+    if (!joined.ok() || !joined->table->columnar()) std::abort();
+    // A result consumer reading rows (an API edge) registers
+    // storage.table.rows_materialized; scanning the row-primary base
+    // tables above registered storage.table.rows_batched.
+    (void)joined->table->rows();
     // Re-materializing a plan the store already holds (rewrite off, so the
     // job really executes) registers viewstore.add.dedup.
     plan::Plan dup(

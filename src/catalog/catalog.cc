@@ -1,8 +1,34 @@
 #include "catalog/catalog.h"
 
-#include <set>
+#include <algorithm>
 
 namespace opd::catalog {
+
+namespace {
+
+// Sketches `num_columns` columns over `n` rows, where `cell(i, c)` returns
+// the (Value::Hash, Value::ByteSize) pair of column `c` in the i-th row.
+template <typename CellFn>
+std::vector<ColumnSketch> Sketch(size_t num_columns, size_t n,
+                                 const CellFn& cell) {
+  std::vector<ColumnSketch> sketches(num_columns);
+  std::vector<uint64_t> hashes(n);
+  for (size_t c = 0; c < num_columns; ++c) {
+    uint64_t bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const auto [hash, size] = cell(i, c);
+      hashes[i] = hash;
+      bytes += size;
+    }
+    std::sort(hashes.begin(), hashes.end());
+    const auto distinct = std::unique(hashes.begin(), hashes.end());
+    sketches[c] = ColumnSketch{
+        static_cast<uint64_t>(distinct - hashes.begin()), bytes};
+  }
+  return sketches;
+}
+
+}  // namespace
 
 double TableStats::DistinctOr(const std::string& column,
                               double fallback) const {
@@ -16,24 +42,55 @@ double TableStats::ColBytesOr(const std::string& column,
   return it == col_bytes.end() ? fallback : it->second;
 }
 
+std::vector<ColumnSketch> SketchColumns(const storage::Table& table,
+                                        const std::vector<size_t>* sample) {
+  const size_t num_columns = table.schema().num_columns();
+  const size_t n = sample != nullptr ? sample->size() : table.num_rows();
+  auto row_of = [sample](size_t i) {
+    return sample != nullptr ? (*sample)[i] : i;
+  };
+  using Cell = std::pair<uint64_t, size_t>;
+
+  if (!table.columnar()) {
+    const std::vector<storage::Row>& rows = table.rows();
+    return Sketch(num_columns, n, [&](size_t i, size_t c) {
+      const storage::Value& v = rows[row_of(i)][c];
+      return Cell(v.Hash(), v.ByteSize());
+    });
+  }
+
+  // Locate every sketched row as (batch, row within the batch).
+  const auto batches = table.ToBatches();
+  std::vector<std::pair<size_t, size_t>> cells;
+  cells.reserve(n);
+  size_t first_row = 0, i = 0;
+  for (size_t b = 0; b < batches->size(); ++b) {
+    const size_t end_row = first_row + (*batches)[b].num_rows();
+    for (; i < n && row_of(i) < end_row; ++i) {
+      cells.emplace_back(b, row_of(i) - first_row);
+    }
+    first_row = end_row;
+  }
+  return Sketch(num_columns, n, [&](size_t k, size_t c) {
+    const auto [b, r] = cells[k];
+    const storage::ColumnVector& col = (*batches)[b].column(c);
+    return Cell(col.HashAt(r), col.CellByteSize(r));
+  });
+}
+
 TableStats ComputeExactStats(const storage::Table& table) {
   TableStats stats;
   stats.rows = static_cast<double>(table.num_rows());
   stats.avg_row_bytes = table.AvgRowBytes();
   const auto& schema = table.schema();
+  const std::vector<ColumnSketch> sketches = SketchColumns(table, nullptr);
   for (size_t c = 0; c < schema.num_columns(); ++c) {
-    std::set<uint64_t> hashes;
-    size_t width = 0;
-    for (const auto& row : table.rows()) {
-      hashes.insert(row[c].Hash());
-      width += row[c].ByteSize();
-    }
     const std::string& name = schema.column(c).name;
-    stats.distinct[name] = static_cast<double>(hashes.size());
+    stats.distinct[name] = static_cast<double>(sketches[c].distinct);
     stats.col_bytes[name] =
-        table.num_rows() == 0
-            ? 0.0
-            : static_cast<double>(width) / static_cast<double>(table.num_rows());
+        table.num_rows() == 0 ? 0.0
+                              : static_cast<double>(sketches[c].bytes) /
+                                    static_cast<double>(table.num_rows());
   }
   return stats;
 }

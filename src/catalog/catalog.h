@@ -32,6 +32,21 @@ struct TableStats {
   double ColBytesOr(const std::string& column, double fallback) const;
 };
 
+/// One column's distinct-value sketch over a set of rows.
+struct ColumnSketch {
+  uint64_t distinct = 0;  ///< distinct cell hashes (Value::Hash)
+  uint64_t bytes = 0;     ///< summed cell widths (Value::ByteSize)
+};
+
+/// Sketches every column of `table` over the rows `sample` (ascending row
+/// indices), or over every row when `sample` is null. Batch-primary tables
+/// are read column-wise from their batches (ColumnVector::HashAt and
+/// CellByteSize equal Value::Hash and ByteSize by definition); row-primary
+/// tables are read from their rows. Neither converts the table. Distincts
+/// come from sort + unique over a column's hash vector.
+std::vector<ColumnSketch> SketchColumns(const storage::Table& table,
+                                        const std::vector<size_t>* sample);
+
 /// Computes exact statistics by scanning a table (used for base tables; views
 /// use the sampling StatsCollector).
 TableStats ComputeExactStats(const storage::Table& table);

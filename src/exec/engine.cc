@@ -741,6 +741,10 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
     uint64_t recycle_hits = 0;
     uint64_t recycle_misses = 0;
     plan::JobCostInfo cost;
+    // Sampled view statistics of `table` (when retained with stats on).
+    catalog::TableStats stats;
+    double stats_wall_s = 0;
+    double stats_time_s = 0;
   };
   std::vector<JobState> states(specs.size());
 
@@ -2098,7 +2102,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
       case OpKind::kUdf: {
         // UDF local functions are opaque per-row/per-group user code: the
         // engine falls back to row-at-a-time execution at this boundary
-        // (batch-primary inputs materialize their rows lazily). In
+        // (batch-primary inputs convert into a private row copy). In
         // pipelined mode consecutive map stages fuse into one row loop and
         // reduce stages use the latch-scheduled shuffle.
         OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
@@ -2160,6 +2164,27 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                     .count();
     out.set_name(specs[j].path);
     st.table = std::make_shared<const Table>(std::move(out));
+  };
+
+  // Stats sampling is a pure function of a job's sealed output, so it runs
+  // in the job's own tail: under the DAG schedule on the job's pool thread,
+  // after its consumers are released, so it is off their critical path.
+  // Finalize folds the times into ExecMetrics in job order. The span keeps
+  // its parent and, since finalize opens no span before it, its id.
+  auto collect_stats = [&](size_t j, obs::TraceSpan* job_span) {
+    JobState& st = states[j];
+    if (!options_.retain_views || !options_.collect_stats ||
+        st.table == nullptr) {
+      return;
+    }
+    obs::TraceSpan stats_span(trace, job_span != nullptr ? job_span->id() : 0,
+                              "stats", "phase");
+    const auto stats_start = std::chrono::steady_clock::now();
+    st.stats = stats_.Collect(*st.table);
+    st.stats_wall_s = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - stats_start)
+                          .count();
+    st.stats_time_s = stats_.JobTime(*st.table, model);
   };
 
   // --- Serial finalize ------------------------------------------------------
@@ -2246,16 +2271,9 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
       def.bytes = st.out_bytes;
       def.producer = plan->name();
       if (options_.collect_stats) {
-        obs::TraceSpan stats_span(trace,
-                                  job_span != nullptr ? job_span->id() : 0,
-                                  "stats", "phase");
-        const auto stats_start = std::chrono::steady_clock::now();
-        def.stats = stats_.Collect(*st.table, pool_.get());
-        metrics.stats_wall_time_s +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          stats_start)
-                .count();
-        metrics.stats_time_s += stats_.JobTime(*st.table, model);
+        def.stats = std::move(st.stats);  // sampled by collect_stats
+        metrics.stats_wall_time_s += st.stats_wall_s;
+        metrics.stats_time_s += st.stats_time_s;
       } else {
         def.stats.rows = static_cast<double>(st.table->num_rows());
         def.stats.avg_row_bytes = st.table->AvgRowBytes();
@@ -2281,6 +2299,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                               "job");
       run_job(j, &job_span);
       OPD_RETURN_NOT_OK(states[j].status);
+      collect_stats(j, &job_span);
       OPD_RETURN_NOT_OK(finalize_job(j, &job_span));
     }
   } else {
@@ -2306,6 +2325,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
             submit_job(c);
           }
         }
+        collect_stats(j, nullptr);
         all_done.CountDown();
       });
     };

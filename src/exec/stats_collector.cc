@@ -1,57 +1,46 @@
 #include "exec/stats_collector.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/rng.h"
 
 namespace opd::exec {
 
-catalog::TableStats StatsCollector::Collect(const storage::Table& table,
-                                            ThreadPool* pool) const {
+catalog::TableStats StatsCollector::Collect(
+    const storage::Table& table) const {
   catalog::TableStats stats;
   // Exact from job counters.
   stats.rows = static_cast<double>(table.num_rows());
   stats.avg_row_bytes = table.AvgRowBytes();
   if (table.num_rows() == 0) return stats;
 
-  // Draw the sample serially from the seeded RNG: the sampled set is a
-  // function of (seed, table) only, never of threading.
+  // The sampled set is a function of (seed, row count) only.
   Rng rng(seed_ ^ table.num_rows());
-  std::vector<const storage::Row*> sample;
+  std::vector<size_t> sample;
   sample.reserve(static_cast<size_t>(
       fraction_ * static_cast<double>(table.num_rows()) + 1));
-  for (const auto& row : table.rows()) {
-    if (rng.Bernoulli(fraction_)) sample.push_back(&row);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (rng.Bernoulli(fraction_)) sample.push_back(r);
   }
   if (sample.empty()) {
     // Degenerate sample: fall back to scanning the first row only.
-    sample.push_back(&table.row(0));
+    sample.push_back(0);
   }
   const size_t sampled = sample.size();
 
-  // Per-column sketches are independent — one task per column.
   const auto& schema = table.schema();
-  std::vector<std::set<uint64_t>> hashes(schema.num_columns());
-  std::vector<double> widths(schema.num_columns(), 0);
-  Status st = ParallelFor(pool, schema.num_columns(), [&](size_t c) {
-    for (const storage::Row* row : sample) {
-      hashes[c].insert((*row)[c].Hash());
-      widths[c] += static_cast<double>((*row)[c].ByteSize());
-    }
-    return Status::OK();
-  });
-  (void)st;  // the column tasks cannot fail
+  const std::vector<catalog::ColumnSketch> sketches =
+      catalog::SketchColumns(table, &sample);
   const double n = stats.rows;
   const double sn = static_cast<double>(sampled);
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const std::string& name = schema.column(c).name;
-    const double ds = static_cast<double>(hashes[c].size());
+    const double ds = static_cast<double>(sketches[c].distinct);
     // Saturation heuristic: if the sample looks mostly-unique, scale to the
     // full table; if it saturated at few values, take it as the cardinality.
     double est = ds >= 0.6 * sn ? ds * (n / sn) : ds;
     stats.distinct[name] = std::min(est, n);
-    stats.col_bytes[name] = widths[c] / sn;
+    stats.col_bytes[name] = static_cast<double>(sketches[c].bytes) / sn;
   }
   return stats;
 }

@@ -466,11 +466,24 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
   Schema cur_schema = input.schema();
-  // The first stage reads the input table's rows in place; `owned` takes
-  // over once a stage produces new rows (or a leading reduce stage needs a
-  // mutable copy). This avoids duplicating the whole input up front.
+  // The first stage reads a row-primary input's rows in place; `owned`
+  // takes over once a stage produces new rows (or a leading reduce stage
+  // needs a mutable copy). A batch-primary input converts straight into
+  // `owned`, since `input.rows()` would cache a row copy on the shared
+  // table for its lifetime. The conversion runs on this thread: as a pool
+  // wave of per-batch tasks it measured slower under concurrent serving,
+  // because a wave's wait runs unrelated queued tasks on the waiting
+  // thread.
   std::vector<Row> owned;
-  const std::vector<Row>* cur_rows = &input.rows();
+  const std::vector<Row>* cur_rows = &owned;
+  if (input.columnar()) {
+    owned.reserve(input.num_rows());
+    for (const storage::RowBatch& b : *input.ToBatches()) {
+      for (size_t r = 0; r < b.num_rows(); ++r) owned.push_back(b.RowAt(r));
+    }
+  } else {
+    cur_rows = &input.rows();
+  }
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {

@@ -28,8 +28,9 @@ namespace opd::server {
 /// Rendering knobs for the SHOW surfaces.
 struct IntrospectOptions {
   /// Include timing-dependent fields (tickets, wall/queue times, latency
-  /// percentiles, recycler and slow-capture stats). With false, output is
-  /// deterministic under pinned admission epochs.
+  /// percentiles, recycler, slow-capture and process-wide table conversion
+  /// stats). With false, output is deterministic under pinned admission
+  /// epochs.
   bool show_wall = true;
 };
 
@@ -54,6 +55,11 @@ struct ServerStats {
   uint64_t cross_tenant_reuse = 0;
   uint64_t recycle_hits = 0;
   uint64_t recycle_misses = 0;
+  /// Process-wide Table representation conversions: rows built from
+  /// batches (`storage.table.rows_materialized`) and batches built from
+  /// rows (`storage.table.rows_batched`).
+  uint64_t rows_materialized = 0;
+  uint64_t rows_batched = 0;
   catalog::Epoch epoch = 0;       ///< Current view-store publish epoch.
   size_t views_in_store = 0;
   AdmissionController::Stats admission;

@@ -427,6 +427,9 @@ server::ServerStats Server::Introspect() {
   stats.cross_tenant_reuse = global.counter("server.views.cross_reuse").value();
   stats.recycle_hits = global.counter("server.recycle.hits").value();
   stats.recycle_misses = global.counter("server.recycle.misses").value();
+  stats.rows_materialized =
+      global.counter("storage.table.rows_materialized").value();
+  stats.rows_batched = global.counter("storage.table.rows_batched").value();
   stats.epoch = views_->epoch();
   stats.views_in_store = views_->size();
   stats.admission = admission_->stats();

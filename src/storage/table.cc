@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
+
 namespace opd::storage {
 
 Table Table::FromBatches(std::string name, Schema schema,
@@ -27,11 +29,14 @@ const std::vector<Row>& Table::rows() const {
 const std::vector<Row>& Table::MaterializedRows() const {
   std::lock_guard<std::mutex> lock(*lazy_mu_);
   if (rows_ready_) return rows_;
+  static obs::Counter& materialized =
+      obs::MetricRegistry::Global().counter("storage.table.rows_materialized");
   std::vector<Row> rows;
   rows.reserve(batch_num_rows_);
   for (const RowBatch& b : *batches_) {
     for (size_t r = 0; r < b.num_rows(); ++r) rows.push_back(b.RowAt(r));
   }
+  materialized.Inc(rows.size());
   rows_ = std::move(rows);
   rows_ready_ = true;
   return rows_;
@@ -43,6 +48,8 @@ std::shared_ptr<const std::vector<RowBatch>> Table::ToBatches() const {
   if (batches_ != nullptr && batch_cache_rows_ == rows_.size()) {
     return batches_;
   }
+  static obs::Counter& batched =
+      obs::MetricRegistry::Global().counter("storage.table.rows_batched");
   // One table-wide dictionary per string column: every batch of the column
   // interns into (and shares) the same dictionary, so codes are comparable
   // across batches and downstream gathers stay dictionary-encoded.
@@ -65,6 +72,7 @@ std::shared_ptr<const std::vector<RowBatch>> Table::ToBatches() const {
           &shared_dicts));
     }
   }
+  batched.Inc(rows_.size());
   batches_ =
       std::make_shared<const std::vector<RowBatch>>(std::move(batches));
   batch_cache_rows_ = rows_.size();
@@ -97,9 +105,10 @@ size_t Table::ByteSize() const {
     }
     return cached_bytes_;
   }
-  if (cached_bytes_rows_ == rows_.size() && !rows_.empty()) {
-    return cached_bytes_;
-  }
+  // An empty table returns without touching the cache, so concurrent
+  // readers of a sealed table never write it.
+  if (rows_.empty()) return 0;
+  if (cached_bytes_rows_ == rows_.size()) return cached_bytes_;
   size_t total = 0;
   for (const Row& r : rows_) total += RowByteSize(r);
   cached_bytes_ = total;

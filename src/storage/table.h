@@ -51,7 +51,10 @@ class Table {
   const Row& row(size_t i) const { return rows()[i]; }
 
   /// Row payload; materialized (once, thread-safely) from the columnar
-  /// payload for batch-primary tables.
+  /// payload for batch-primary tables, then cached on the table for its
+  /// lifetime (counted by `storage.table.rows_materialized`). The default
+  /// serving path never calls this on a batch-primary table: the UDF
+  /// boundary builds a private row copy instead (DESIGN.md §2d).
   const std::vector<Row>& rows() const;
 
   /// True when the table's primary payload is columnar.
@@ -59,7 +62,8 @@ class Table {
 
   /// Columnar payload: the stored batches for batch-primary tables (zero
   /// cost), or a lazily built, cached batching of the rows (batches of
-  /// `RowBatch::kDefaultRows`) for row-primary tables.
+  /// `RowBatch::kDefaultRows`) for row-primary tables (rows converted are
+  /// counted by `storage.table.rows_batched`).
   std::shared_ptr<const std::vector<RowBatch>> ToBatches() const;
 
   /// Appends a row; fails if the arity does not match the schema or the

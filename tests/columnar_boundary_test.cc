@@ -1,0 +1,481 @@
+// The columnar/row boundary: view statistics are sampled column-wise and UDF
+// inputs are converted privately, so a batch-primary table never grows a
+// cached row copy. Each suite checks one side against a row-based oracle:
+//  - StatsIdentity: StatsCollector / ComputeExactStats on row- and
+//    batch-primary twins equal the pre-columnar std::set-over-rows sampler;
+//  - UdfBatchBoundary: map-only, fused-map and leading-reduce UDFs emit the
+//    same rows from a batch-primary input as from its row-primary twin;
+//  - ServingNoRowCache: the 32-query workload through opd::Server
+//    materializes no rows and publishes oracle-identical view stats.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "catalog/catalog.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "exec/stats_collector.h"
+#include "exec/udf_exec.h"
+#include "obs/metrics.h"
+#include "obs/snapshot.h"
+#include "oql/printer.h"
+#include "server/introspect.h"
+#include "server/server.h"
+#include "storage/row_batch.h"
+#include "storage/table.h"
+#include "workload/queries.h"
+#include "workload/scenarios.h"
+
+namespace opd {
+namespace {
+
+using storage::Column;
+using storage::DataType;
+using storage::Row;
+using storage::RowBatch;
+using storage::Schema;
+using storage::Table;
+using storage::Value;
+
+uint64_t RowsMaterialized() {
+  return obs::MetricRegistry::Global()
+      .counter("storage.table.rows_materialized")
+      .value();
+}
+
+// The rows of `t`, built privately: never through Table::rows() on a
+// batch-primary table, which would cache them (and count).
+std::vector<Row> RowsOf(const Table& t) {
+  if (!t.columnar()) return t.rows();
+  std::vector<Row> rows;
+  for (const RowBatch& b : *t.ToBatches()) {
+    for (size_t r = 0; r < b.num_rows(); ++r) rows.push_back(b.RowAt(r));
+  }
+  return rows;
+}
+
+// The pre-columnar StatsCollector::Collect, kept as the oracle: a seeded
+// Bernoulli sample of row pointers, one std::set of cell hashes per column.
+catalog::TableStats ReferenceStats(const std::vector<Row>& rows,
+                                   const Schema& schema, double fraction,
+                                   uint64_t seed) {
+  catalog::TableStats stats;
+  const double n = static_cast<double>(rows.size());
+  size_t bytes = 0;
+  for (const Row& r : rows) bytes += storage::RowByteSize(r);
+  stats.rows = n;
+  stats.avg_row_bytes = rows.empty() ? 0.0 : static_cast<double>(bytes) / n;
+  if (rows.empty()) return stats;
+
+  Rng rng(seed ^ rows.size());
+  std::vector<const Row*> sample;
+  for (const Row& r : rows) {
+    if (rng.Bernoulli(fraction)) sample.push_back(&r);
+  }
+  if (sample.empty()) sample.push_back(&rows[0]);
+  const double sn = static_cast<double>(sample.size());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    std::set<uint64_t> hashes;
+    double width = 0;
+    for (const Row* r : sample) {
+      hashes.insert((*r)[c].Hash());
+      width += static_cast<double>((*r)[c].ByteSize());
+    }
+    const double ds = static_cast<double>(hashes.size());
+    const double est = ds >= 0.6 * sn ? ds * (n / sn) : ds;
+    stats.distinct[schema.column(c).name] = std::min(est, n);
+    stats.col_bytes[schema.column(c).name] = width / sn;
+  }
+  return stats;
+}
+
+// Exact `==` on every double.
+void ExpectStatsEq(const catalog::TableStats& got,
+                   const catalog::TableStats& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.avg_row_bytes, want.avg_row_bytes);
+  EXPECT_EQ(got.distinct, want.distinct);
+  EXPECT_EQ(got.col_bytes, want.col_bytes);
+}
+
+// Same schema, and the same cells of the same types in the same order.
+void ExpectSameTable(const Table& got, const Table& want) {
+  ASSERT_EQ(got.schema().num_columns(), want.schema().num_columns());
+  for (size_t c = 0; c < want.schema().num_columns(); ++c) {
+    EXPECT_EQ(got.schema().column(c).name, want.schema().column(c).name);
+    EXPECT_EQ(got.schema().column(c).type, want.schema().column(c).type);
+  }
+  const std::vector<Row> a = RowsOf(got), b = RowsOf(want);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].size(), b[r].size());
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      EXPECT_EQ(a[r][c].type(), b[r][c].type()) << "row " << r;
+      EXPECT_EQ(a[r][c], b[r][c]) << "row " << r << " col " << c;
+    }
+  }
+}
+
+Schema MixedSchema() {
+  return Schema({Column{"id", DataType::kInt64},
+                 Column{"name", DataType::kString},
+                 Column{"score", DataType::kDouble},
+                 Column{"flag", DataType::kBool},
+                 Column{"mixed", DataType::kInt64}});
+}
+
+// Nulls in every column; `mixed` is declared int64 but holds strings too,
+// which demotes its batch columns to the variant lane.
+Table MixedRowTable(size_t n) {
+  Table t("mixed", MixedSchema());
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t k = static_cast<int64_t>(i);
+    Row row;
+    row.push_back(i % 19 == 4 ? Value::Null() : Value(k));
+    row.push_back(i % 11 == 3 ? Value::Null()
+                              : Value("user" + std::to_string(i % 37)));
+    row.push_back(i % 7 == 2 ? Value::Null()
+                             : Value(static_cast<double>(i % 13) * 0.5));
+    row.push_back(i % 5 == 1 ? Value::Null() : Value(i % 3 == 0));
+    row.push_back(i % 6 == 0   ? Value("s" + std::to_string(i % 4))
+                  : i % 9 == 1 ? Value::Null()
+                               : Value(k % 17));
+    EXPECT_TRUE(t.AppendRow(std::move(row)).ok());
+  }
+  return t;
+}
+
+// A batch-primary twin with a table-wide shared dictionary per string
+// column (the row table's own ToBatches() payload).
+Table SharedDictTwin(const Table& rows) {
+  return Table::FromBatches("shared", rows.schema(), *rows.ToBatches());
+}
+
+// A batch-primary twin with per-batch dictionaries, `batch_rows` rows per
+// batch, and an empty first batch.
+Table SmallBatchTwin(const Table& rows, size_t batch_rows) {
+  std::vector<RowBatch> batches;
+  batches.push_back(RowBatch::FromRows(rows.schema(), rows.rows(), 0, 0));
+  for (size_t b = 0; b < rows.num_rows(); b += batch_rows) {
+    batches.push_back(RowBatch::FromRows(
+        rows.schema(), rows.rows(), b,
+        std::min(b + batch_rows, rows.num_rows())));
+  }
+  return Table::FromBatches("small", rows.schema(), std::move(batches));
+}
+
+// --- StatsIdentity -----------------------------------------------------------
+
+TEST(StatsIdentity, SampledStatsMatchRowOracleOnEveryRepresentation) {
+  for (size_t n : {0u, 1u, 2u, 37u, 1500u, 3000u}) {
+    const Table rows = MixedRowTable(n);
+    const std::vector<Table> twins = {SharedDictTwin(rows),
+                                      SmallBatchTwin(rows, 7),
+                                      SmallBatchTwin(rows, 1024)};
+    for (double fraction : {0.05, 0.3, 1.0}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " fraction=" + std::to_string(fraction));
+      const exec::StatsCollector collector(fraction, 42);
+      const catalog::TableStats want =
+          ReferenceStats(rows.rows(), rows.schema(), fraction, 42);
+      ExpectStatsEq(collector.Collect(rows), want);
+      for (const Table& twin : twins) {
+        ASSERT_TRUE(twin.columnar());
+        const uint64_t before = RowsMaterialized();
+        ExpectStatsEq(collector.Collect(twin), want);
+        EXPECT_EQ(RowsMaterialized() - before, 0u);
+      }
+    }
+  }
+}
+
+TEST(StatsIdentity, DataCoversVariantLaneAndSharedDictionaries) {
+  const Table rows = MixedRowTable(3000);
+  const Table shared = SharedDictTwin(rows);
+  const auto batches = shared.ToBatches();
+  ASSERT_EQ(batches->size(), 3u);
+  EXPECT_FALSE((*batches)[0].column(4).is_native());  // variant lane
+  EXPECT_GT((*batches)[0].column(1).null_count(), 0u);
+  // One table-wide dictionary shared by every batch.
+  EXPECT_EQ((*batches)[0].column(1).dict(), (*batches)[2].column(1).dict());
+  const Table small = SmallBatchTwin(rows, 7);
+  const auto small_batches = small.ToBatches();
+  EXPECT_EQ((*small_batches)[0].num_rows(), 0u);  // empty first batch
+  // Per-batch dictionaries differ from batch to batch.
+  EXPECT_NE((*small_batches)[1].column(1).dict(),
+            (*small_batches)[2].column(1).dict());
+}
+
+TEST(StatsIdentity, EmptySampleFallsBackToFirstRow) {
+  constexpr size_t kRows = 4;
+  constexpr double kFraction = 0.05;
+  constexpr uint64_t kSeed = 42;
+  // The seeded draws for this row count all miss: the sample is empty.
+  Rng rng(kSeed ^ kRows);
+  for (size_t r = 0; r < kRows; ++r) ASSERT_FALSE(rng.Bernoulli(kFraction));
+
+  const Table rows = MixedRowTable(kRows);
+  const exec::StatsCollector collector(kFraction, kSeed);
+  const catalog::TableStats want =
+      ReferenceStats(rows.rows(), rows.schema(), kFraction, kSeed);
+  // One sampled row: every column sketches exactly one value, scaled up.
+  EXPECT_EQ(want.distinct.at("id"), static_cast<double>(kRows));
+  ExpectStatsEq(collector.Collect(rows), want);
+  const uint64_t before = RowsMaterialized();
+  ExpectStatsEq(collector.Collect(SmallBatchTwin(rows, 3)), want);
+  ExpectStatsEq(collector.Collect(SharedDictTwin(rows)), want);
+  EXPECT_EQ(RowsMaterialized() - before, 0u);
+}
+
+TEST(StatsIdentity, ZeroRowTables) {
+  const Schema schema = MixedSchema();
+  const exec::StatsCollector collector;
+  const catalog::TableStats want = ReferenceStats({}, schema, 0.05, 42);
+  ExpectStatsEq(collector.Collect(Table("empty", schema)), want);
+  ExpectStatsEq(collector.Collect(Table::FromBatches("none", schema, {})),
+                want);
+  ExpectStatsEq(collector.Collect(SmallBatchTwin(Table("empty", schema), 7)),
+                want);
+}
+
+TEST(StatsIdentity, ExactStatsMatchAcrossRepresentations) {
+  for (size_t n : {0u, 1u, 37u, 3000u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Table rows = MixedRowTable(n);
+    const catalog::TableStats want = catalog::ComputeExactStats(rows);
+    if (n > 0) {
+      // Sampling every row with no scale-up is the exact scan.
+      ExpectStatsEq(want, ReferenceStats(rows.rows(), rows.schema(), 1.0, 0));
+    }
+    const uint64_t before = RowsMaterialized();
+    ExpectStatsEq(catalog::ComputeExactStats(SharedDictTwin(rows)), want);
+    ExpectStatsEq(catalog::ComputeExactStats(SmallBatchTwin(rows, 7)), want);
+    EXPECT_EQ(RowsMaterialized() - before, 0u);
+  }
+}
+
+// --- UdfBatchBoundary --------------------------------------------------------
+
+udf::LocalFunction NameLengthMap() {
+  udf::LocalFunction lf;
+  lf.name = "boundary-name-length";
+  lf.kind = udf::LfKind::kMap;
+  lf.op_types = udf::kOpAttrs | udf::kOpFilter;
+  lf.out_schema = [](const Schema& in, const udf::Params&) -> Result<Schema> {
+    std::vector<Column> cols = in.columns();
+    cols.push_back(Column{"name_len", DataType::kInt64});
+    return Schema(std::move(cols));
+  };
+  lf.map_fn = [](const Row& row, const udf::LfContext& ctx,
+                 std::vector<Row>* out) {
+    const Value& id = row[ctx.In("id")];
+    if (id.is_null()) return;
+    const Value& name = row[ctx.In("name")];
+    Row o = row;
+    o.push_back(Value(static_cast<int64_t>(
+        name.is_null() ? 0 : name.as_string().size())));
+    out->push_back(std::move(o));
+  };
+  return lf;
+}
+
+udf::LocalFunction EvenIdDuplicateMap() {
+  udf::LocalFunction lf;
+  lf.name = "boundary-even-duplicate";
+  lf.kind = udf::LfKind::kMap;
+  lf.op_types = udf::kOpAttrs;
+  lf.out_schema = [](const Schema& in, const udf::Params&) -> Result<Schema> {
+    return in;
+  };
+  lf.map_fn = [](const Row& row, const udf::LfContext& ctx,
+                 std::vector<Row>* out) {
+    out->push_back(row);
+    if (row[ctx.In("id")].as_int64() % 2 == 0) out->push_back(row);
+  };
+  return lf;
+}
+
+udf::LocalFunction CountByNameReduce() {
+  udf::LocalFunction lf;
+  lf.name = "boundary-count-by-name";
+  lf.kind = udf::LfKind::kReduce;
+  lf.op_types = udf::kOpGroup;
+  lf.group_keys = {"name"};
+  lf.out_schema = [](const Schema&, const udf::Params&) -> Result<Schema> {
+    return Schema({Column{"name", DataType::kString},
+                   Column{"n", DataType::kInt64},
+                   Column{"score_sum", DataType::kDouble},
+                   Column{"first_mixed", DataType::kInt64}});
+  };
+  lf.reduce_fn = [](const std::vector<Row>& group, const udf::LfContext& ctx,
+                    std::vector<Row>* out) {
+    double sum = 0;
+    for (const Row& r : group) sum += r[ctx.In("score")].ToDouble();
+    out->push_back({group[0][ctx.In("name")],
+                    Value(static_cast<int64_t>(group.size())), Value(sum),
+                    group[0][ctx.In("mixed")]});
+  };
+  return lf;
+}
+
+// Runs `def` on the row table and on both batch twins (phased and
+// pipelined, on a pool, with small map splits); every output must equal
+// the row-primary run's, and no batch input may materialize rows.
+void ExpectBoundaryIdentity(const udf::UdfDefinition& def) {
+  const Table rows = MixedRowTable(2500);
+  ThreadPool pool(4);
+  for (bool pipelined : {false, true}) {
+    SCOPED_TRACE(pipelined ? "pipelined" : "phased");
+    exec::UdfExecOptions opts;
+    opts.pool = &pool;
+    opts.pipelined = pipelined;
+    opts.block_size_bytes = 4096;
+    Table want;
+    ASSERT_TRUE(
+        exec::RunLocalFunctions(def, rows, {}, &want, nullptr, opts).ok());
+    ASSERT_GT(want.num_rows(), 0u);
+    for (const Table& twin : {SharedDictTwin(rows), SmallBatchTwin(rows, 7)}) {
+      ASSERT_TRUE(twin.columnar());
+      const uint64_t before = RowsMaterialized();
+      Table got;
+      ASSERT_TRUE(
+          exec::RunLocalFunctions(def, twin, {}, &got, nullptr, opts).ok());
+      EXPECT_EQ(RowsMaterialized() - before, 0u);
+      ExpectSameTable(got, want);
+    }
+  }
+}
+
+TEST(UdfBatchBoundary, MapOnlyUdf) {
+  udf::UdfDefinition def;
+  def.name = "UDF_BOUNDARY_MAP";
+  def.local_functions.push_back(NameLengthMap());
+  ExpectBoundaryIdentity(def);
+}
+
+TEST(UdfBatchBoundary, FusedMapUdf) {
+  udf::UdfDefinition def;
+  def.name = "UDF_BOUNDARY_FUSED";
+  def.local_functions.push_back(NameLengthMap());
+  def.local_functions.push_back(EvenIdDuplicateMap());
+  ExpectBoundaryIdentity(def);
+}
+
+TEST(UdfBatchBoundary, LeadingReduceUdf) {
+  udf::UdfDefinition def;
+  def.name = "UDF_BOUNDARY_REDUCE";
+  def.local_functions.push_back(CountByNameReduce());
+  udf::LocalFunction tail = EvenIdDuplicateMap();
+  tail.map_fn = [](const Row& row, const udf::LfContext&,
+                   std::vector<Row>* out) { out->push_back(row); };
+  def.local_functions.push_back(std::move(tail));
+  ExpectBoundaryIdentity(def);
+}
+
+// --- ServingNoRowCache -------------------------------------------------------
+
+class ServingNoRowCache : public ::testing::Test {
+ protected:
+  static constexpr int kTenants = 4;
+
+  void SetUp() override {
+    workload::TestBedConfig config;
+    config.data.n_tweets = 3000;
+    config.data.n_checkins = 2000;
+    config.data.n_locations = 200;
+    config.data.n_users = 120;
+    config.calibrate_udfs = false;  // as the serving benchmark runs
+    auto bed = workload::TestBed::Create(config);
+    ASSERT_TRUE(bed.ok()) << bed.status().ToString();
+    bed_ = std::move(bed).value();
+  }
+
+  // All 32 workload queries as OQL text: tenant t runs analysts t+1 and
+  // t+5, versions 1..4 in order, concurrently with the other tenants.
+  // Returns how many views the executed plans scanned.
+  size_t RunWorkload(bool rewrite) {
+    Server& server = bed_->session().server();
+    std::atomic<int> failures{0};
+    std::atomic<size_t> views_used{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kTenants; ++t) {
+      threads.emplace_back([&, t] {
+        ClientSession client = server.Connect("tenant" + std::to_string(t));
+        RunOptions opts;
+        opts.rewrite = rewrite;
+        for (int a : {t + 1, t + 5}) {
+          for (int v = 1; v <= workload::kNumVersions; ++v) {
+            auto plan = workload::BuildQuery(a, v);
+            auto oql = plan.ok() ? oql::Print(*plan)
+                                 : Result<std::string>(plan.status());
+            auto run = oql.ok() ? client.Run(*oql, opts)
+                                : Result<RunResult>(oql.status());
+            if (!run.ok()) {
+              ++failures;
+              continue;
+            }
+            views_used += run->views_used.size();
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0);
+    return views_used.load();
+  }
+
+  void ExpectPublishedStatsMatchOracle() {
+    const exec::EngineOptions& engine = bed_->config().session.engine;
+    const auto views = bed_->views().All();
+    ASSERT_FALSE(views.empty());
+    for (const catalog::ViewDefinition* def : views) {
+      SCOPED_TRACE(def->dfs_path);
+      auto table = bed_->dfs().Read(def->dfs_path);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ExpectStatsEq(def->stats,
+                    ReferenceStats(RowsOf(**table), (*table)->schema(),
+                                   engine.stats_sample_fraction,
+                                   engine.stats_seed));
+    }
+  }
+
+  std::unique_ptr<workload::TestBed> bed_;
+};
+
+TEST_F(ServingNoRowCache, OrigMaterializesNoRowsAndPublishesOracleStats) {
+  const uint64_t before = RowsMaterialized();
+  EXPECT_EQ(RunWorkload(/*rewrite=*/false), 0u);
+  EXPECT_EQ(RowsMaterialized() - before, 0u);
+  ExpectPublishedStatsMatchOracle();
+
+  // Both conversion counters reach the metrics snapshot and SHOW SERVER
+  // STATS; UDF outputs are row-primary, so their consumers batch them.
+  const obs::MetricsSnapshot snap =
+      obs::MetricsSnapshot::Capture(obs::MetricRegistry::Global());
+  EXPECT_GT(snap.counters.at("storage.table.rows_batched"), 0u);
+  EXPECT_EQ(snap.counters.count("storage.table.rows_materialized"), 1u);
+  const server::ServerStats stats = bed_->session().server().Introspect();
+  EXPECT_EQ(stats.rows_batched,
+            snap.counters.at("storage.table.rows_batched"));
+  EXPECT_NE(server::RenderServerStats(stats).find(
+                "rows materialized (batch->row)"),
+            std::string::npos);
+}
+
+TEST_F(ServingNoRowCache, EvolveMaterializesNoRowsAndPublishesOracleStats) {
+  bed_->DropAllViews();
+  const uint64_t before = RowsMaterialized();
+  // Rewritten plans scan batch-primary views, some feeding UDFs.
+  EXPECT_GT(RunWorkload(/*rewrite=*/true), 0u);
+  EXPECT_EQ(RowsMaterialized() - before, 0u);
+  ExpectPublishedStatsMatchOracle();
+}
+
+}  // namespace
+}  // namespace opd
