@@ -6,8 +6,11 @@
 // `micro_eval --json` runs the single-thread throughput suite once and
 // prints one JSON line; scripts/bench.sh appends it to BENCH_engine.json and
 // `--check` gates `fused_int64_rows_per_sec` against a floor (the CI runner
-// is 1-core, so the gate is on single-thread throughput, not speedups). The
-// record also carries `chain_fused_rows_per_sec` vs
+// is 1-core, so the gate is on single-thread throughput, not speedups) and
+// `fused_vs_row_eval_int64_median` — the fused int64 filter's rows/s over
+// per-row `afk::EvalCmp` evaluation of the same cells, one ratio per
+// in-process repetition (the two lanes alternate), median of 5 — against a
+// same-run ratio floor. The record also carries `chain_fused_rows_per_sec` vs
 // `chain_unfused_rows_per_sec` — the same 3-step project+filter chain run as
 // one fused pass vs one operator at a time with gathers in between — and an
 // `outputs_match_row_eval` receipt comparing every fused verdict against a
@@ -18,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -101,7 +105,7 @@ double RowsPerSec(double wall_s) {
   return wall_s > 0 ? static_cast<double>(kRows) / wall_s : 0;
 }
 
-// Per-row EvalCmp baseline over the same cells — the row engine's verdict,
+// Per-row EvalCmp baseline over the same cells — the reference verdict,
 // used both as the throughput baseline and the correctness oracle.
 uint64_t RowEvalSurvivors(size_t col, afk::CmpOp op, const Value& lit,
                           double* wall_s) {
@@ -161,8 +165,7 @@ int RunJsonMode() {
           n_rows;
 
   // The fusion delta: project+filter+filter as one fused pass vs one
-  // operator at a time (each step its own program = gather between steps,
-  // which is what the unfused batch engine does).
+  // operator at a time (each step its own program = gather between steps).
   const std::vector<ExprStep> chain = {
       ExprStep::FilterCompare(0, afk::CmpOp::kLt, Value(int64_t{500})),
       ExprStep::FilterCompare(1, afk::CmpOp::kGe, Value(0.25)),
@@ -195,6 +198,20 @@ int RunJsonMode() {
       kIters;
   const bool chain_match = chain_rows == unfused_rows;
 
+  // Same-run kernel gate: fused vs per-row int64 filter throughput,
+  // alternating the lanes so each ratio compares adjacent measurements.
+  constexpr int kGateReps = 5;
+  std::vector<double> int64_ratios;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    const double fused_s = TimeProgram(fi, kIters).second;
+    double row_s = 0;
+    RowEvalSurvivors(0, afk::CmpOp::kLt, Value(int64_t{500}), &row_s);
+    if (fused_s > 0) int64_ratios.push_back(row_s / fused_s);
+  }
+  std::sort(int64_ratios.begin(), int64_ratios.end());
+  const double int64_ratio_median =
+      int64_ratios.empty() ? 0 : int64_ratios[int64_ratios.size() / 2];
+
   JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("micro_eval");
@@ -210,6 +227,10 @@ int RunJsonMode() {
   w.Key("row_eval_dict_string_rows_per_sec").Double(RowsPerSec(row_s_s));
   w.Key("chain_fused_rows_per_sec").Double(RowsPerSec(chain_s));
   w.Key("chain_unfused_rows_per_sec").Double(RowsPerSec(unfused_s));
+  w.Key("fused_vs_row_eval_int64_ratios").BeginArray();
+  for (double r : int64_ratios) w.Double(r);
+  w.EndArray();
+  w.Key("fused_vs_row_eval_int64_median").Double(int64_ratio_median);
   w.Key("outputs_match_row_eval").Bool(match && chain_match);
   w.EndObject();
   std::printf("%s\n", w.str().c_str());

@@ -1,10 +1,13 @@
 // Shuffle-hash microbench: the flat open-addressing tables and vectorized
 // key hashing (src/exec/hash/) in isolation — no engine, no DFS — against
-// the legacy packed-std::string + std::unordered_map reduce path on the
-// same data, plus a heap-allocation audit of the flat inner loops.
+// a packed-std::string + std::unordered_map oracle on the same data (the
+// "legacy" lanes: the engine's reduce path before the flat tables), plus a
+// heap-allocation audit of the flat inner loops.
 //
 // `micro_hash --json` runs the suite once and prints one JSON line;
 // scripts/bench.sh appends it to BENCH_engine.json, and --check gates
+// `join_speedup` / `groupby_speedup` (flat vs oracle, same run, median of 5
+// repetitions) at a floor, gated on `outputs_match`, and
 // `numeric_build_allocs_per_row` / `numeric_probe_allocs_per_row` at zero:
 // with the table fully Reserve()d from the build-side count, a numeric-key
 // build+probe must not touch the heap per row (KeyScratch stays in its
@@ -17,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -119,7 +123,7 @@ std::vector<uint64_t> FlatHashes(const std::vector<RowBatch>& batches) {
   return hashes;
 }
 
-// Legacy key encoding (mirrors the engine's PackCell for an int64 lane).
+// Oracle key encoding: tag + normalized double bytes for an int64 lane.
 void LegacyPack(const RowBatch& b, size_t i, std::string* out) {
   out->clear();
   const auto& col = b.column(0);
@@ -320,10 +324,31 @@ int RunJsonMode() {
   LegacyJoin(1);
   FlatGroupBy(1);
   LegacyGroupBy(1);
-  const JoinResult flat_join = FlatJoin(kIters);
-  const JoinResult legacy_join = LegacyJoin(kIters);
-  const GroupResult flat_group = FlatGroupBy(kIters);
-  const GroupResult legacy_group = LegacyGroupBy(kIters);
+  // The gated speedups: one flat/oracle wall ratio per repetition, the
+  // lanes run back to back so each ratio compares adjacent measurements,
+  // median of kGateReps (one noisy-neighbor stall spoils one ratio, not the
+  // gate). The rows/s and allocation fields report the last repetition.
+  constexpr int kGateReps = 5;
+  JoinResult flat_join, legacy_join;
+  GroupResult flat_group, legacy_group;
+  std::vector<double> join_ratios, group_ratios;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    flat_join = FlatJoin(kIters);
+    legacy_join = LegacyJoin(kIters);
+    flat_group = FlatGroupBy(kIters);
+    legacy_group = LegacyGroupBy(kIters);
+    if (flat_join.wall_s > 0) {
+      join_ratios.push_back(legacy_join.wall_s / flat_join.wall_s);
+    }
+    if (flat_group.wall_s > 0) {
+      group_ratios.push_back(legacy_group.wall_s / flat_group.wall_s);
+    }
+  }
+  auto median = [](std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
   // Ablation lanes (measured, not gated): the same loops with the
   // linear-probe prefetch off, and with the duplicate-chain arrays
   // pre-sized from the exact distinct-key count the way the engine seeds
@@ -349,16 +374,18 @@ int RunJsonMode() {
   w.Key("flat_join_rows_per_sec").Double(RowsPerSec(join_rows, flat_join.wall_s));
   w.Key("legacy_join_rows_per_sec")
       .Double(RowsPerSec(join_rows, legacy_join.wall_s));
-  w.Key("join_speedup")
-      .Double(flat_join.wall_s > 0 ? legacy_join.wall_s / flat_join.wall_s
-                                   : 0);
+  w.Key("join_speedup").Double(median(join_ratios));
+  w.Key("join_speedup_ratios").BeginArray();
+  for (double r : join_ratios) w.Double(r);
+  w.EndArray();
   w.Key("flat_groupby_rows_per_sec")
       .Double(RowsPerSec(kProbeRows, flat_group.wall_s));
   w.Key("legacy_groupby_rows_per_sec")
       .Double(RowsPerSec(kProbeRows, legacy_group.wall_s));
-  w.Key("groupby_speedup")
-      .Double(flat_group.wall_s > 0 ? legacy_group.wall_s / flat_group.wall_s
-                                    : 0);
+  w.Key("groupby_speedup").Double(median(group_ratios));
+  w.Key("groupby_speedup_ratios").BeginArray();
+  for (double r : group_ratios) w.Double(r);
+  w.EndArray();
   w.Key("numeric_build_allocs_per_row").Double(flat_join.build_allocs_per_row);
   w.Key("numeric_probe_allocs_per_row").Double(flat_join.probe_allocs_per_row);
   w.Key("prefetch_join_speedup")

@@ -2,13 +2,14 @@
 # Runs the engine microbenchmarks after the tier-1 build and APPENDS their
 # timestamped JSON records to BENCH_engine.json (the perf trajectory of the
 # execution engine across PRs — never overwritten). micro_engine --json
-# emits one record per execution mode (row and batch stay on the phased
-# engine for continuity; batch_unfused/pipelined_unfused pin the pre-fusion
-# kernels; pipelined is the current default), each sweeping threads
-# {1, 2, 4, 8} untraced plus one traced run at 8 threads
-# (traced_rows_per_sec vs untraced_rows_per_sec = tracing overhead).
+# emits the engine record (mode "pipelined": the one execution path,
+# sweeping threads {1, 2, 4, 8} untraced, with 1 vs 8 threads as alternating
+# pairs, plus one traced run at 8 threads — traced_rows_per_sec vs
+# untraced_rows_per_sec = tracing overhead) and the warm_rewrite record.
 # micro_eval --json contributes one expression-kernel record (fused
-# project/filter throughput without engine overheads). micro_serve --json
+# project/filter throughput without engine overheads, plus its same-run
+# ratio over per-row evaluation). micro_hash --json contributes the flat
+# shuffle-table record (flat vs unordered_map oracle, allocation audit). micro_serve --json
 # contributes two serving-layer records: "serve_observed" (the
 # continuous-observability tax — the same interleaved pass with the full
 # query log + slow capture on vs the log disabled, gated < 5% by --check,
@@ -26,18 +27,22 @@
 #
 # --check is the perf-floor gate: instead of appending to the trajectory it
 # runs the benchmarks once and fails (exit 1) if
-#   * any mode's output hash diverges from row mode (determinism),
+#   * any thread count's output hash diverges from the 1-thread run
+#     (determinism),
 #   * the warm_rewrite record shows no view reuse (views_created == 0, no
 #     accepted rewrites, or warm outputs diverging from the cold pass),
-#   * the batch mode's single-thread rows/sec does not exceed row mode's by
-#     the BATCH_VS_ROW_FLOOR factor (vectorization must actually pay),
-#   * micro_eval's fused_int64_rows_per_sec falls below EVAL_FLOOR_ROWS_PER_SEC
-#     or its fused outputs diverge from per-row evaluation,
-#   * the pipelined record's speedup_8v1 falls below its recorded
-#     speedup_floor_8v1 — skipped with a note when the runner has fewer than
-#     2 cores (the CI container is 1-core), since no parallel speedup is
-#     measurable there. Single-thread floors always apply; so does the
-#     determinism check. Sanitizer builds (scripts/check.sh) run the gate
+#   * micro_eval's fused_int64_rows_per_sec falls below EVAL_FLOOR_ROWS_PER_SEC,
+#     its median fused-vs-per-row int64 ratio (5 in-process repetitions)
+#     falls below EVAL_VS_ROW_FLOOR, or its fused outputs diverge from
+#     per-row evaluation,
+#   * micro_hash's flat join or group-by falls below FLAT_HASH_FLOOR times
+#     its unordered_map oracle (median of 5 repetitions), or their outputs
+#     diverge,
+#   * the pipelined record's speedup_8v1 (median of 5 alternating 1 vs 8
+#     thread pairs) falls below its recorded speedup_floor_8v1 — skipped
+#     with a note when the runner has fewer than 2 cores, since no parallel
+#     speedup is measurable there. Single-thread floors always apply; so
+#     does the determinism check. Sanitizer builds (scripts/check.sh) run the gate
 #     against the regular build, never the instrumented one: sanitizer
 #     overhead would make any timing floor meaningless.
 #
@@ -55,13 +60,13 @@ cd "$(dirname "$0")/.."
 # scalar row-eval baseline on the same container is ~115M rows/s on the
 # no-null int64 lane, and the pre-fusion gather path was far below that).
 EVAL_FLOOR_ROWS_PER_SEC=40000000
-# Batch mode must beat row mode by at least this factor on single-thread
-# rows/sec (micro_engine, same workload, same thread count).
-BATCH_VS_ROW_FLOOR=1.3
-# The flat open-addressing shuffle tables must beat the legacy
-# std::unordered_map reduce path by this factor on both the join and the
-# group-by job of micro_engine's "flat_hash" record (single-thread,
-# gated on byte-identical outputs).
+# The fused int64 filter kernel must beat per-row afk::EvalCmp evaluation of
+# the same cells by this factor (micro_eval, same run, median of 5
+# in-process repetitions).
+EVAL_VS_ROW_FLOOR=1.2
+# The flat open-addressing shuffle tables must beat micro_hash's
+# std::unordered_map oracle by this factor on both the join and the
+# group-by loop (single-thread, same run, gated on matching outputs).
 FLAT_HASH_FLOOR=1.3
 # A recycled (warm) repetition of micro_recycle's join must beat the cold
 # build-every-time run by this factor (gated on byte-identical outputs and
@@ -70,7 +75,7 @@ RECYCLE_FLOOR=1.3
 # Full continuous observability (query-history ring + JSONL sink +
 # slow-query capture of EVERY query) may cost at most this much wall time
 # over the same serving pass with the query log disabled (micro_serve's
-# "serve_observed" record, best-of-2 per lane).
+# "serve_observed" record, median of 15 alternating paired passes).
 QUERYLOG_OVERHEAD_PCT_MAX=5.0
 
 build=1
@@ -97,7 +102,7 @@ if [[ "${check}" == 1 ]]; then
   ./build/bench/micro_serve --json >> "${out}"
   ./build/bench/micro_recycle --json >> "${out}"
   EVAL_FLOOR_ROWS_PER_SEC="${EVAL_FLOOR_ROWS_PER_SEC}" \
-  BATCH_VS_ROW_FLOOR="${BATCH_VS_ROW_FLOOR}" \
+  EVAL_VS_ROW_FLOOR="${EVAL_VS_ROW_FLOOR}" \
   FLAT_HASH_FLOOR="${FLAT_HASH_FLOOR}" \
   RECYCLE_FLOOR="${RECYCLE_FLOOR}" \
   QUERYLOG_OVERHEAD_PCT_MAX="${QUERYLOG_OVERHEAD_PCT_MAX}" \
@@ -110,12 +115,12 @@ records = [json.loads(line) for line in open(sys.argv[1]) if line.strip()]
 failures = []
 modes = {}
 for rec in records:
-    # Only the cold sweep records carry the cross-mode hash; warm_rewrite
-    # compares against its own cold pass instead.
-    if "outputs_match_row_mode" in rec and not rec["outputs_match_row_mode"]:
+    # Only the engine sweep record carries the cross-thread-count hash;
+    # warm_rewrite compares against its own cold pass instead.
+    if "outputs_match_1_thread" in rec and not rec["outputs_match_1_thread"]:
         failures.append(
-            f"mode {rec['mode']!r}: output hash diverges from row mode "
-            "(determinism regression)")
+            f"mode {rec['mode']!r}: output hash diverges from the 1-thread "
+            "run (determinism regression)")
     if rec.get("bench") == "micro_eval":
         modes["eval"] = rec
     else:
@@ -150,36 +155,18 @@ else:
     if cores < 2:
         print(f"bench --check: {cores} core(s) available -- speedup floor "
               "not measurable, skipping (determinism still checked)")
-    elif speedup < floor:
-        failures.append(
-            f"pipelined speedup_8v1 {speedup:.2f} is below the floor "
-            f"{floor:.2f} (hw_cores={cores})")
     else:
-        print(f"bench --check: pipelined speedup_8v1 {speedup:.2f} >= "
-              f"floor {floor:.2f} (hw_cores={cores})")
-
-# Batch-vs-row single-thread throughput gate: the vectorized batch engine
-# must beat the row engine on the same workload at 1 thread (a 1-core-safe
-# assertion of the columnar layer's raw-speed win). Compared on each
-# mode's fastest iteration, not the all-iterations aggregate: one
-# noisy-neighbor stall inside either mode's run must not flip the gate.
-row, batch = modes.get("row"), modes.get("batch")
-ratio_floor = float(os.environ["BATCH_VS_ROW_FLOOR"])
-if row is None or batch is None:
-    failures.append("missing 'row' or 'batch' record in benchmark output")
-else:
-    row_rps = row.get("best_iter_rows_per_sec", row.get("rows_per_sec", [0]))[0]
-    batch_rps = batch.get("best_iter_rows_per_sec",
-                          batch.get("rows_per_sec", [0]))[0]
-    ratio = batch_rps / row_rps if row_rps > 0 else 0.0
-    if ratio < ratio_floor:
-        failures.append(
-            f"batch single-thread rows/sec is only {ratio:.2f}x row mode "
-            f"(floor {ratio_floor}x): vectorized batch execution is not "
-            "paying for itself")
-    else:
-        print(f"bench --check: batch 1-thread rows/sec = {ratio:.2f}x row "
-              f"mode (floor {ratio_floor}x)")
+        pairs = ", ".join(f"{r:.2f}" for r in
+                          pipelined.get("speedup_8v1_pairs", []))
+        if speedup < floor:
+            failures.append(
+                f"pipelined speedup_8v1 {speedup:.2f} (median of pairs "
+                f"[{pairs}]) is below the floor {floor:.2f} "
+                f"(hw_cores={cores})")
+        else:
+            print(f"bench --check: pipelined speedup_8v1 {speedup:.2f} "
+                  f"(median of pairs [{pairs}]) >= floor {floor:.2f} "
+                  f"(hw_cores={cores})")
 
 # Expression-kernel gate: fused evaluation throughput and correctness.
 ev = modes.get("eval")
@@ -198,41 +185,46 @@ else:
     else:
         print(f"bench --check: micro_eval fused int64 filter "
               f"{rps:.3g} rows/s >= floor {eval_floor:.3g}")
-
-# Flat-hash shuffle gate: micro_engine's "flat_hash" record compares the
-# flat open-addressing join/group-by tables against the legacy
-# unordered_map reduce path at 1 thread. Both speedups must clear
-# FLAT_HASH_FLOOR, and only count if the outputs are byte-identical — a
-# speedup with different bytes is a correctness bug, not a win.
-fh = modes.get("flat_hash")
-fh_floor = float(os.environ["FLAT_HASH_FLOOR"])
-if fh is None:
-    failures.append("no 'flat_hash' record in benchmark output")
-else:
-    if not fh.get("outputs_match", False):
-        failures.append("flat_hash: flat outputs diverge from the legacy "
-                        "hash path (correctness regression)")
+    # Same-run kernel gate: the fused int64 filter against per-row
+    # evaluation of the same cells, median of 5 in-process repetitions.
+    vs_row_floor = float(os.environ["EVAL_VS_ROW_FLOOR"])
+    vs_row = ev.get("fused_vs_row_eval_int64_median", 0.0)
+    ratios = ", ".join(f"{r:.2f}" for r in
+                       ev.get("fused_vs_row_eval_int64_ratios", []))
+    if vs_row < vs_row_floor:
+        failures.append(
+            f"micro_eval fused int64 filter is only {vs_row:.2f}x per-row "
+            f"evaluation (median of [{ratios}], floor {vs_row_floor}x): the "
+            "fused kernels are not paying for themselves")
     else:
-        for kind in ("join", "groupby"):
-            sp = fh.get(f"{kind}_speedup", 0.0)
-            if sp < fh_floor:
-                failures.append(
-                    f"flat_hash {kind}_speedup {sp:.2f} is below the floor "
-                    f"{fh_floor}x: the flat shuffle tables are not paying "
-                    "for themselves")
-            else:
-                print(f"bench --check: flat_hash {kind} = {sp:.2f}x legacy "
-                      f"(floor {fh_floor}x)")
+        print(f"bench --check: micro_eval fused int64 = {vs_row:.2f}x "
+              f"per-row evaluation (median of [{ratios}], floor "
+              f"{vs_row_floor}x)")
 
-# micro_hash allocation audit: with the table fully pre-sized, a numeric-key
-# build+probe must not allocate per row (KeyScratch inline buffer + arena).
+# micro_hash gates: the flat join/group-by loops must clear FLAT_HASH_FLOOR
+# over the unordered_map oracle (each speedup the median of 5 same-run
+# repetitions), counted only when their outputs match (a
+# speedup with different results is a correctness bug, not a win); and
+# with the table fully pre-sized, a numeric-key build+probe must not
+# allocate per row (KeyScratch inline buffer + arena).
 mh = modes.get("hash")
+fh_floor = float(os.environ["FLAT_HASH_FLOOR"])
 if mh is None:
     failures.append("no micro_hash record in benchmark output")
 else:
     if not mh.get("outputs_match", False):
         failures.append("micro_hash: flat tables diverge from the "
                         "unordered_map oracle")
+    else:
+        for kind in ("join", "groupby"):
+            sp = mh.get(f"{kind}_speedup", 0.0)
+            reps = ", ".join(f"{r:.2f}" for r in
+                             mh.get(f"{kind}_speedup_ratios", []))
+            if sp < fh_floor:
+                failures.append(
+                    f"micro_hash {kind}_speedup {sp:.2f} (median of [{reps}]) "
+                    f"is below the floor {fh_floor}x: the flat shuffle "
+                    "tables are not paying for themselves")
     for k in ("numeric_build_allocs_per_row", "numeric_probe_allocs_per_row"):
         if mh.get(k, 1.0) > 0.001:
             failures.append(
@@ -241,7 +233,8 @@ else:
     if not any("micro_hash" in f for f in failures):
         print(f"bench --check: micro_hash zero-alloc build/probe OK, "
               f"join {mh.get('join_speedup', 0):.2f}x / groupby "
-              f"{mh.get('groupby_speedup', 0):.2f}x vs unordered_map")
+              f"{mh.get('groupby_speedup', 0):.2f}x vs unordered_map "
+              f"(floor {fh_floor}x)")
 
 # Serving-layer gate: interleaved multi-tenant outputs must be
 # byte-identical to the serial replay of the recorded schedule (snapshot
@@ -265,9 +258,10 @@ else:
 
 # Observability-tax gate: serving with the full query log on (history ring
 # + JSONL sink + slow-query capture of every query) must stay within
-# QUERYLOG_OVERHEAD_PCT_MAX of the same pass with the log disabled. Both
-# lanes are best-of-2 inside micro_serve, so one stall does not flip the
-# gate; negative overhead (observed lane won the coin flip) passes.
+# QUERYLOG_OVERHEAD_PCT_MAX of the same pass with the log disabled. The
+# overhead is the median of 15 alternating paired passes inside micro_serve,
+# so one stall does not flip the gate; negative overhead (observed lane won
+# the coin flip) passes.
 observed = modes.get("serve_observed")
 overhead_max = float(os.environ["QUERYLOG_OVERHEAD_PCT_MAX"])
 if observed is None:
@@ -279,14 +273,16 @@ else:
             f"serve_observed: logged {observed.get('querylog_appended')} "
             f"records for {observed.get('queries')} queries (query history "
             "is lossy)")
+    pairs = ", ".join(f"{p:+.1f}" for p in
+                      observed.get("querylog_overhead_pct_pairs", []))
     if overhead > overhead_max:
         failures.append(
-            f"serve_observed querylog_overhead_pct {overhead:.1f} exceeds "
-            f"{overhead_max:.1f}%: continuous observability is not cheap "
-            "enough to leave on")
+            f"serve_observed querylog_overhead_pct {overhead:.1f} (median of "
+            f"pairs [{pairs}]) exceeds {overhead_max:.1f}%: continuous "
+            "observability is not cheap enough to leave on")
     elif not any("serve_observed" in f for f in failures):
         print(f"bench --check: serve_observed overhead {overhead:+.1f}% "
-              f"(max {overhead_max:.1f}%), "
+              f"(median of pairs [{pairs}], max {overhead_max:.1f}%), "
               f"{observed.get('slow_capture_bytes')} slow-capture bytes, "
               f"p95 {observed.get('latency_p95_s'):.3f}s")
 

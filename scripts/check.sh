@@ -12,14 +12,16 @@
 # concurrency-sensitive suites under it: the serving-layer tests
 # (server_test — admission control, snapshot visibility, and the
 # interleaved multi-tenant stress test with its serial-replay oracle), the
-# engine's parallel-determinism suite, the hash-recycler stress test
-# (concurrent tenants racing lookups/inserts on the shared recycler), and
-# the query-log suite (concurrent appends racing lock-free ring snapshots,
+# engine's parallel-determinism suite (thread counts, forced fan-out and
+# recycling on/off, checked against the reference interpreter), the
+# hash-recycler suites (the recycle-on/off x thread-count matrix, the
+# zero-budget switch, and concurrent tenants racing lookups/inserts on the
+# shared recycler), and the query-log suite (concurrent appends racing lock-free ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
 # ServerStress), and the columnar-boundary suites (view stats sampled in
 # each job's tail, which runs on pool threads concurrently under the DAG
-# schedule; per-batch UDF input conversion; the 4-tenant workload that must
-# materialize no rows). TSan and ASan cannot share a build, hence the
+# schedule; per-batch UDF input conversion; opaque filters over batch
+# inputs; the 4-tenant workload that must materialize no rows). TSan and ASan cannot share a build, hence the
 # separate tree.
 #
 # Then runs the perf-floor gate
@@ -47,7 +49,7 @@ cmake --build build-tsan --target server_test parallel_determinism_test \
   recycler_test query_log_test columnar_boundary_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

@@ -10,7 +10,7 @@
 // consumer immediately — buckets whose inputs are complete reduce while
 // other producers are still running.
 //
-// Determinism contract (same as the phased engine): every task runs to
+// Determinism contract (same as ParallelFor): every task runs to
 // completion, the lowest-index failure wins (producers before consumers),
 // and trace span ids are allocated serially before any task starts, so the
 // span structure is identical at every thread count.

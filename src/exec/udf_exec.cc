@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "exec/hash/flat_table.h"
@@ -14,7 +13,6 @@
 namespace opd::exec {
 
 using storage::Row;
-using storage::RowHash;
 using storage::RowRange;
 using storage::Schema;
 using storage::Table;
@@ -125,11 +123,9 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
     return key;
   };
 
-  // Flat group index (opts.flat_hash): per-row key hashes are computed once
-  // during partitioning and kept here, so grouping never re-hashes a key.
-  const bool flat = opts.flat_hash;
-  std::vector<uint64_t> hash_of;
-  if (flat) hash_of.resize(n);
+  // Per-row key hashes are computed once during partitioning and kept
+  // here, so the flat group index never re-hashes a key.
+  std::vector<uint64_t> hash_of(n);
 
   // Grouping + reduce of one bucket, shared by both schedules. `for_each`
   // yields the bucket's row indices in original row order, so per-key input
@@ -141,34 +137,20 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   auto reduce_bucket = [&](size_t b, size_t bucket_n,
                            const auto& for_each) -> Status {
     std::vector<ReduceGroup>& groups = bucket_groups[b];
-    if (flat) {
-      hash::FlatGroupIndex group_index;
-      group_index.Reserve(bucket_n, 0);
-      hash::KeyScratch key;
-      for_each([&](size_t r) {
-        Row& row = (*rows)[r];
-        hash::NormalizeKeyRow(row, key_idx, &key);
-        auto [id, inserted] =
-            group_index.InsertOrGet(hash_of[r], key.data(), key.size());
-        if (inserted) {
-          groups.emplace_back();
-          groups.back().key = key_of(row);
-        }
-        groups[id].rows.push_back(std::move(row));
-      });
-    } else {
-      std::unordered_map<Row, size_t, RowHash> group_index;
-      for_each([&](size_t r) {
-        Row key = key_of((*rows)[r]);
-        auto [it, inserted] =
-            group_index.try_emplace(std::move(key), groups.size());
-        if (inserted) {
-          groups.emplace_back();
-          groups.back().key = it->first;
-        }
-        groups[it->second].rows.push_back(std::move((*rows)[r]));
-      });
-    }
+    hash::FlatGroupIndex group_index;
+    group_index.Reserve(bucket_n, 0);
+    hash::KeyScratch key;
+    for_each([&](size_t r) {
+      Row& row = (*rows)[r];
+      hash::NormalizeKeyRow(row, key_idx, &key);
+      auto [id, inserted] =
+          group_index.InsertOrGet(hash_of[r], key.data(), key.size());
+      if (inserted) {
+        groups.emplace_back();
+        groups.back().key = key_of(row);
+      }
+      groups[id].rows.push_back(std::move(row));
+    });
     std::sort(groups.begin(), groups.end(),
               [](const ReduceGroup& a, const ReduceGroup& g) {
                 return RowLess()(a.key, g.key);
@@ -198,25 +180,12 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
         [&](size_t t) -> Status {
           const RowRange& split = splits[t];
           buf.ReserveProducer(t, split.size());
-          if (flat) {
-            for (size_t r = split.begin; r < split.end; ++r) {
-              const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-              hash_of[r] = h;
-              buf.Append(
-                  t, num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets),
-                  r);
-            }
-            return Status::OK();
-          }
           for (size_t r = split.begin; r < split.end; ++r) {
-            // Hoisted key hash: no temporary key Row per input row.
-            const uint32_t b =
-                num_buckets <= 1
-                    ? 0
-                    : static_cast<uint32_t>(
-                          hash::LegacyRowKeyHash((*rows)[r], key_idx) %
-                          num_buckets);
-            buf.Append(t, b, r);
+            const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
+            hash_of[r] = h;
+            buf.Append(t,
+                       num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets),
+                       r);
           }
           return Status::OK();
         },
@@ -236,24 +205,16 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
           opts, stage_span, "partition", splits.size(),
           [&](size_t t) -> Status {
             for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-              if (flat) {
-                const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-                hash_of[r] = h;
-                bucket_of[r] = hash::BucketOf(h, num_buckets);
-              } else {
-                // Hoisted key hash: no temporary key Row per input row.
-                bucket_of[r] = static_cast<uint32_t>(
-                    hash::LegacyRowKeyHash((*rows)[r], key_idx) %
-                    num_buckets);
-              }
+              const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
+              hash_of[r] = h;
+              bucket_of[r] = hash::BucketOf(h, num_buckets);
             }
             return Status::OK();
           },
           &partition_max_s));
-    } else if (flat) {
+    } else {
       // Single bucket: the input is below one block by definition, so the
-      // hash fill runs serially — no extra phase wave vs the legacy path
-      // (which skips partitioning entirely here).
+      // hash fill runs serially without a partition wave.
       for (size_t r = 0; r < n; ++r) {
         hash_of[r] = hash::FlatRowKeyHash((*rows)[r], key_idx);
       }
@@ -388,7 +349,7 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         }
         for (size_t i = 1; i < k; ++i) {
           // Account + validate the boundary feeding stage s+i (the last
-          // stage's output is validated by the caller, like phased runs).
+          // stage's output is validated by the caller, like unfused runs).
           for (const Row& r : cur) {
             OPD_RETURN_NOT_OK(CheckArity(lfs[s + i - 1], r, schemas[i]));
             mid_bytes[t][i - 1] += storage::RowByteSize(r);

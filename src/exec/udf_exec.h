@@ -39,13 +39,10 @@ struct UdfExecOptions {
   /// into one row loop per split, and reduce-stage shuffles run latch
   /// scheduled (storage::PartitionBuffer + RunPipelinedShuffle) instead of
   /// partition-barrier-scatter-reduce. Off by default so standalone users
-  /// (e.g. cost-model calibration) keep the phased waves; the engine opts
-  /// in via EngineOptions::pipelined. Results are byte-identical.
+  /// (cost-model calibration, scenario sampling) keep per-stage waves and
+  /// per-stage timings; the engine always turns it on. Results are
+  /// byte-identical.
   bool pipelined = false;
-  /// Flat open-addressing group index + vectorized key hashing for the
-  /// reduce stage (see EngineOptions::flat_hash; the engine forwards its
-  /// setting). Results are byte-identical either way.
-  bool flat_hash = true;
   /// Tracing hooks (see obs/trace.h): each local function opens a
   /// "stage:<name>" span under `parent_span`, with per-wave phase spans
   /// (and task spans when `trace_tasks`). Null trace = no overhead.

@@ -106,12 +106,15 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
 
   // One recycler per server: every tenant's queries share it (a build cached
   // by one tenant's join is a hit for every other tenant probing the same
-  // table or published view).
+  // table or published view). A zero budget turns recycling off: the
+  // recycler exists (and stays empty) but the engine never sees it.
   exec::hash::HashRecycler::Config recycler_cfg;
   recycler_cfg.budget_bytes = options.server.recycle_budget_bytes;
   server->recycler_ =
       std::make_unique<exec::hash::HashRecycler>(recycler_cfg);
-  server->engine_->set_recycler(server->recycler_.get());
+  if (options.server.recycle_budget_bytes > 0) {
+    server->engine_->set_recycler(server->recycler_.get());
+  }
   server->bfr_ = std::make_unique<rewrite::BfRewriter>(
       server->optimizer_.get(), server->views_.get(), options.rewrite);
 

@@ -146,6 +146,7 @@ class Server {
   exec::Engine& engine() { return *engine_; }
   /// The shared hash-table recycler (one per server, shared by every
   /// tenant's queries; budget from ServerOptions::recycle_budget_bytes).
+  /// With a zero budget it is never attached to the engine and stays empty.
   exec::hash::HashRecycler& recycler() { return *recycler_; }
   const rewrite::BfRewriter& rewriter() const { return *bfr_; }
   const optimizer::CostAccountant& accountant() const { return *accountant_; }

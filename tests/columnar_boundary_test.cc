@@ -6,7 +6,10 @@
 //  - UdfBatchBoundary: map-only, fused-map and leading-reduce UDFs emit the
 //    same rows from a batch-primary input as from its row-primary twin;
 //  - ServingNoRowCache: the 32-query workload through opd::Server
-//    materializes no rows and publishes oracle-identical view stats.
+//    materializes no rows and publishes oracle-identical view stats;
+//  - OpaqueFilterBoundary: an opaque predicate over a batch-primary input
+//    reads batch cells, keeps its output batch-primary, materializes no
+//    rows, and matches the reference interpreter.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,7 @@
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "oql/printer.h"
+#include "reference_exec.h"
 #include "server/introspect.h"
 #include "server/server.h"
 #include "storage/row_batch.h"
@@ -475,6 +479,55 @@ TEST_F(ServingNoRowCache, EvolveMaterializesNoRowsAndPublishesOracleStats) {
   EXPECT_GT(RunWorkload(/*rewrite=*/true), 0u);
   EXPECT_EQ(RowsMaterialized() - before, 0u);
   ExpectPublishedStatsMatchOracle();
+}
+
+// The project job's output is batch-primary, so the opaque filter after it
+// sees a columnar input: it must evaluate the predicate on batch cells and
+// gather survivors, never caching a row copy on the shared table.
+TEST(OpaqueFilterBoundary, BatchPrimaryInputStaysColumnarAndMatchesReference) {
+  SessionOptions options;
+  options.engine.num_threads = 4;
+  auto session = Session::Create(options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE((*session)
+                  ->udfs()
+                  .RegisterPredicate(
+                      "keep_row",
+                      [](const std::vector<Value>& args, const udf::Params&) {
+                        return args[0].as_int64() % 3 == 0 ||
+                               (!args[1].is_null() &&
+                                args[1].as_string() == "b");
+                      })
+                  .ok());
+  auto t = std::make_shared<Table>(
+      "OPQ", Schema({Column{"id", DataType::kInt64},
+                     Column{"name", DataType::kString},
+                     Column{"w", DataType::kDouble}}));
+  const char* names[] = {"a", "b", "c", "d"};
+  for (int64_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(t->AppendRow({Value(i),
+                              i % 17 == 0 ? Value::Null()
+                                          : Value(std::string(names[i % 4])),
+                              Value(0.5 * static_cast<double>(i))})
+                    .ok());
+  }
+  ASSERT_TRUE((*session)->RegisterTable(t, {"id"}).ok());
+
+  const std::string oql = "q = scan OPQ | project id, name | filter keep_row(id, name);";
+  RunOptions no_rewrite;
+  no_rewrite.rewrite = false;
+  const uint64_t before = RowsMaterialized();
+  auto run = (*session)->Run(oql, no_rewrite);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(RowsMaterialized() - before, 0u);
+  ASSERT_EQ(run->jobs.size(), 2u);
+  EXPECT_TRUE(run->table->columnar());
+  EXPECT_GT(run->table->num_rows(), 0u);
+  EXPECT_LT(run->table->num_rows(), 3000u);
+
+  auto want = reference::EvaluateOql(**session, oql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(reference::SameRows(*want, RowsOf(*run->table)));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
+#include "reference_exec.h"
 #include "workload/scenarios.h"
 
 namespace opd::obs {
@@ -344,19 +345,17 @@ struct TracedRun {
   std::string structure;
   std::string chrome_json;
   std::vector<storage::Row> rows;
+  reference::Rows reference_rows;  // the reference interpreter's result
   uint64_t bytes_read = 0;
 };
 
-TracedRun RunTraced(int num_threads, bool vectorized, bool tracing,
-                    bool pipelined = true) {
+TracedRun RunTraced(int num_threads, bool tracing) {
   workload::TestBedConfig config;
   config.data.n_tweets = 600;
   config.data.n_checkins = 300;
   config.data.n_locations = 60;
   config.calibrate_udfs = false;
   config.session.engine.num_threads = num_threads;
-  config.session.engine.vectorized = vectorized;
-  config.session.engine.pipelined = pipelined;
   config.session.obs.tracing = tracing;
   auto bed = workload::TestBed::Create(config);
   EXPECT_TRUE(bed.ok()) << bed.status().ToString();
@@ -378,28 +377,27 @@ TracedRun RunTraced(int num_threads, bool vectorized, bool tracing,
               return a.size() < b.size();
             });
   out.bytes_read = run->metrics.bytes_read;
+  auto reference_rows =
+      reference::EvaluateOql((*bed)->session(), kWorkloadOql);
+  EXPECT_TRUE(reference_rows.ok()) << reference_rows.status().ToString();
+  if (reference_rows.ok()) out.reference_rows = std::move(*reference_rows);
   return out;
 }
 
-TEST(TraceDeterminismTest, SpanStructureInvariantAcrossThreadCountsRowMode) {
-  TracedRun one = RunTraced(1, /*vectorized=*/false, /*tracing=*/true);
-  TracedRun eight = RunTraced(8, /*vectorized=*/false, /*tracing=*/true);
-  ASSERT_FALSE(one.structure.empty());
-  EXPECT_EQ(one.structure, eight.structure);
-  EXPECT_EQ(one.rows, eight.rows);
-}
-
 TEST(TraceDeterminismTest, SpanStructureInvariantAcrossThreadCountsBatchMode) {
-  TracedRun one = RunTraced(1, /*vectorized=*/true, /*tracing=*/true);
-  TracedRun eight = RunTraced(8, /*vectorized=*/true, /*tracing=*/true);
+  TracedRun one = RunTraced(1, /*tracing=*/true);
   ASSERT_FALSE(one.structure.empty());
-  EXPECT_EQ(one.structure, eight.structure);
-  EXPECT_EQ(one.rows, eight.rows);
+  EXPECT_TRUE(reference::SameRows(one.reference_rows, one.rows));
+  for (int threads : {2, 8}) {
+    TracedRun many = RunTraced(threads, /*tracing=*/true);
+    EXPECT_EQ(one.structure, many.structure) << "threads=" << threads;
+    EXPECT_EQ(one.rows, many.rows) << "threads=" << threads;
+  }
 }
 
 TEST(TraceDeterminismTest, ResultsIdenticalWithTracingOnOrOff) {
-  TracedRun off = RunTraced(4, /*vectorized=*/false, /*tracing=*/false);
-  TracedRun on = RunTraced(4, /*vectorized=*/false, /*tracing=*/true);
+  TracedRun off = RunTraced(4, /*tracing=*/false);
+  TracedRun on = RunTraced(4, /*tracing=*/true);
   if (std::getenv("OPD_TRACE") == nullptr) {
     // (OPD_TRACE=1 — the scripts/check.sh traced pass — force-enables
     // tracing in TestBed, so "off" only stays off without the override.)
@@ -411,19 +409,17 @@ TEST(TraceDeterminismTest, ResultsIdenticalWithTracingOnOrOff) {
 }
 
 TEST(TraceDeterminismTest, ChromeJsonShapeUnderPipelinedExecution) {
-  // End-to-end golden shape for the trace file a pipelined run exports: the
-  // fused map work records "pipeline" phase spans (not the phased engine's
-  // "map"), shuffles still record "reduce", and the document stays a single
-  // balanced traceEvents object.
-  TracedRun run = RunTraced(4, /*vectorized=*/true, /*tracing=*/true,
-                            /*pipelined=*/true);
+  // End-to-end golden shape for the trace file a run exports: the fused
+  // map work records "pipeline" phase spans, shuffles record "reduce", and
+  // the document stays a single balanced traceEvents object.
+  TracedRun run = RunTraced(4, /*tracing=*/true);
   const std::string& json = run.chrome_json;
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // (UDF stages run their own runner and keep "map" even when the engine
-  // pipelines, so only the presence of "pipeline" is asserted here.)
+  // (A lone UDF map stage keeps its "map" wave name, so only the presence
+  // of "pipeline" is asserted here.)
   EXPECT_NE(json.find("\"name\":\"pipeline\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"reduce\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"query:result\""), std::string::npos);
@@ -443,14 +439,6 @@ TEST(TraceDeterminismTest, ChromeJsonShapeUnderPipelinedExecution) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
-
-  // The phased fallback labels the same work "map".
-  TracedRun phased = RunTraced(4, /*vectorized=*/true, /*tracing=*/true,
-                               /*pipelined=*/false);
-  EXPECT_NE(phased.chrome_json.find("\"name\":\"map\""), std::string::npos);
-  EXPECT_EQ(phased.chrome_json.find("\"name\":\"pipeline\""),
-            std::string::npos);
-  EXPECT_EQ(run.rows, phased.rows);  // engine mode never changes results
 }
 
 }  // namespace

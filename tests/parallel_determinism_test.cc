@@ -1,7 +1,9 @@
 // The parallel engine's determinism contract: running the same workload at
-// any thread count produces byte-identical result tables, identical view
-// fingerprints, and identical byte-count metrics (and therefore identical
-// modeled cluster time). Thread count changes only wall-clock time.
+// any thread count, shuffle fan-out, or with recycling on or off produces
+// byte-identical result tables, identical view fingerprints, and identical
+// byte-count metrics (and therefore identical modeled cluster time). These
+// settings change only wall-clock time. Correctness itself is checked
+// against the reference interpreter (reference_exec.h).
 
 #include <gtest/gtest.h>
 
@@ -12,12 +14,33 @@
 #include <utility>
 #include <vector>
 
+#include "plan/fingerprint.h"
+#include "reference_exec.h"
 #include "session/session.h"
 #include "storage/table.h"
+#include "workload/queries.h"
 #include "workload/scenarios.h"
 
 namespace opd::workload {
 namespace {
+
+// Server recycler budgets: zero attaches no recycler; the default is on.
+constexpr uint64_t kNoRecycling = 0;
+const uint64_t kRecycling = ServerOptions{}.recycle_budget_bytes;
+
+TestBedConfig BedConfig(int num_threads, int num_reduce_tasks,
+                        uint64_t recycle_budget_bytes) {
+  TestBedConfig config;
+  config.data.n_tweets = 400;
+  config.data.n_checkins = 250;
+  config.data.n_locations = 60;
+  config.data.n_users = 40;
+  config.calibrate_udfs = false;
+  config.session.engine.num_threads = num_threads;
+  config.session.engine.num_reduce_tasks = num_reduce_tasks;
+  config.session.server.recycle_budget_bytes = recycle_budget_bytes;
+  return config;
+}
 
 // Everything one workload run produces that must not depend on threading.
 struct WorkloadSnapshot {
@@ -29,26 +52,18 @@ struct WorkloadSnapshot {
   int views_created = 0;
 };
 
-// Runs a scenario-style slice of the paper workload: three analysts'
-// original queries (projections, filters, joins, group-bys, and UDF
-// pipelines), then a rewritten revision that reuses the accumulated
-// opportunistic views.
-WorkloadSnapshot RunWorkload(int num_threads, int num_reduce_tasks = 0,
-                             bool pipelined = true, bool vectorized = true,
-                             bool fused_exprs = true, bool flat_hash = true) {
-  TestBedConfig config;
-  config.data.n_tweets = 400;
-  config.data.n_checkins = 250;
-  config.data.n_locations = 60;
-  config.data.n_users = 40;
-  config.calibrate_udfs = false;
-  config.session.engine.num_threads = num_threads;
-  config.session.engine.num_reduce_tasks = num_reduce_tasks;
-  config.session.engine.pipelined = pipelined;
-  config.session.engine.vectorized = vectorized;
-  config.session.engine.fused_exprs = fused_exprs;
-  config.session.engine.flat_hash = flat_hash;
-  auto bed_result = TestBed::Create(config);
+// The workload slice: three analysts' original queries (projections,
+// filters, joins, group-bys, and UDF pipelines), then a rewritten revision
+// that reuses the accumulated opportunistic views.
+const std::vector<std::pair<int, int>> kOriginals = {{1, 1}, {2, 1}, {3, 1}};
+const std::pair<int, int> kRevision = {1, 2};
+
+// Runs the workload slice and snapshots what it produced.
+WorkloadSnapshot RunWorkload(
+    int num_threads, int num_reduce_tasks = 0,
+    uint64_t recycle_budget_bytes = kRecycling) {
+  auto bed_result = TestBed::Create(
+      BedConfig(num_threads, num_reduce_tasks, recycle_budget_bytes));
   EXPECT_TRUE(bed_result.ok()) << bed_result.status().ToString();
   std::unique_ptr<TestBed> bed = std::move(bed_result).value();
 
@@ -63,12 +78,12 @@ WorkloadSnapshot RunWorkload(int num_threads, int num_reduce_tasks = 0,
     snap.views_created += run.metrics.views_created;
   };
 
-  for (int analyst = 1; analyst <= 3; ++analyst) {
-    auto run = bed->RunOriginal(analyst, 1);
+  for (const auto& [analyst, version] : kOriginals) {
+    auto run = bed->RunOriginal(analyst, version);
     EXPECT_TRUE(run.ok()) << run.status().ToString();
     if (run.ok()) record(*run);
   }
-  auto rewritten = bed->RunRewritten(1, 2);
+  auto rewritten = bed->RunRewritten(kRevision.first, kRevision.second);
   EXPECT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   if (rewritten.ok()) record(rewritten->exec);
 
@@ -101,11 +116,11 @@ void ExpectIdentical(const WorkloadSnapshot& a, const WorkloadSnapshot& b) {
 
 TEST(ParallelDeterminismTest, SameResultsAtOneTwoAndEightThreads) {
   WorkloadSnapshot one = RunWorkload(1);
-  WorkloadSnapshot two = RunWorkload(2);
-  WorkloadSnapshot eight = RunWorkload(8);
   ASSERT_FALSE(one.tables.empty());
-  ExpectIdentical(one, two);
-  ExpectIdentical(one, eight);
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectIdentical(one, RunWorkload(threads));
+  }
 }
 
 TEST(ParallelDeterminismTest, ReduceTaskCountDoesNotChangeResults) {
@@ -116,98 +131,89 @@ TEST(ParallelDeterminismTest, ReduceTaskCountDoesNotChangeResults) {
   ExpectIdentical(derived, forced);
 }
 
-// The full execution-mode matrix: pipelined (default) must produce the exact
-// snapshot the phased fallback produces, per interpreter mode, at every
-// thread count — covering {1,2,4,8} x {row,batch} x {pipelined,phased}.
-TEST(ParallelDeterminismTest, PipelinedMatchesPhasedRowMode) {
-  WorkloadSnapshot phased =
-      RunWorkload(1, 0, /*pipelined=*/false, /*vectorized=*/false);
-  ASSERT_FALSE(phased.tables.empty());
-  for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectIdentical(
-        phased, RunWorkload(threads, 0, /*pipelined=*/true,
-                            /*vectorized=*/false));
-  }
+// Hash-table recycling is a pure time optimization: a server without a
+// recycler produces the same snapshot as one with it.
+TEST(ParallelDeterminismTest, RecyclingDoesNotChangeResults) {
+  WorkloadSnapshot off = RunWorkload(1, 0, kNoRecycling);
+  ASSERT_FALSE(off.tables.empty());
+  ExpectIdentical(off, RunWorkload(1));
+  ExpectIdentical(off, RunWorkload(8));
 }
 
-TEST(ParallelDeterminismTest, PipelinedMatchesPhasedBatchMode) {
-  WorkloadSnapshot phased =
-      RunWorkload(1, 0, /*pipelined=*/false, /*vectorized=*/true);
-  ASSERT_FALSE(phased.tables.empty());
-  for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectIdentical(
-        phased, RunWorkload(threads, 0, /*pipelined=*/true,
-                            /*vectorized=*/true));
-  }
-}
-
-// Fused expression programs (the default) against the unfused per-operator
-// batch kernels: same snapshot, per scheduling mode, at 1 and 8 threads.
-// Together with the two tests above this closes the matrix
-// {fused,unfused} x {pipelined,phased} x threads on batch mode.
-TEST(ParallelDeterminismTest, FusedExprsMatchUnfusedBatchMode) {
-  WorkloadSnapshot unfused = RunWorkload(1, 0, /*pipelined=*/false,
-                                         /*vectorized=*/true,
-                                         /*fused_exprs=*/false);
-  ASSERT_FALSE(unfused.tables.empty());
-  for (int threads : {1, 8}) {
-    for (bool pipelined : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " pipelined=" + std::to_string(pipelined));
-      ExpectIdentical(unfused,
-                      RunWorkload(threads, 0, pipelined, /*vectorized=*/true,
-                                  /*fused_exprs=*/true));
-    }
-  }
-}
-
-// Flat open-addressing shuffle tables (the default) against the legacy
-// std::unordered_map reduce path: the hash family and bucket mapping both
-// change, but every shuffle merge normalizes order, so the snapshot must be
-// byte-identical across {flat,legacy} x {row,batch} x {pipelined,phased} at
-// 1 and 8 threads.
-TEST(ParallelDeterminismTest, FlatHashMatchesLegacyAcrossModes) {
-  WorkloadSnapshot legacy =
-      RunWorkload(1, 0, /*pipelined=*/false, /*vectorized=*/false,
-                  /*fused_exprs=*/true, /*flat_hash=*/false);
-  ASSERT_FALSE(legacy.tables.empty());
-  for (int threads : {1, 8}) {
-    for (bool vectorized : {false, true}) {
-      for (bool pipelined : {false, true}) {
-        for (bool flat : {false, true}) {
-          if (!flat && !vectorized && !pipelined && threads == 1) continue;
-          SCOPED_TRACE("threads=" + std::to_string(threads) +
-                       " vectorized=" + std::to_string(vectorized) +
-                       " pipelined=" + std::to_string(pipelined) +
-                       " flat_hash=" + std::to_string(flat));
-          ExpectIdentical(legacy, RunWorkload(threads, 0, pipelined,
-                                              vectorized,
-                                              /*fused_exprs=*/true, flat));
-        }
+// Checks the output of every job `run` executed — each retained view,
+// found by its plan fingerprint — against the reference interpreter's
+// evaluation of the job's subtree. Returns the number of jobs checked.
+size_t ExpectJobsMatchReference(TestBed& bed, const RunResult& run) {
+  const reference::ScanFn scans =
+      reference::StoreScans(bed.catalog(), bed.views(), bed.dfs());
+  size_t checked = 0;
+  for (const plan::OpNodePtr& node : run.plan.TopoOrder()) {
+    if (node->kind == plan::OpKind::kScan) continue;
+    const std::string fingerprint = plan::Fingerprint(node);
+    for (const catalog::ViewDefinition* def : bed.views().All()) {
+      if (def->fingerprint != fingerprint) continue;
+      SCOPED_TRACE(node->DisplayName());
+      auto got = bed.dfs().Peek(def->dfs_path);
+      auto want = reference::Evaluate(node, scans, bed.udfs());
+      EXPECT_TRUE(got.ok() && want.ok());
+      if (got.ok() && want.ok()) {
+        EXPECT_TRUE(reference::SameRows(*want, reference::TableRows(**got)));
+        ++checked;
       }
+      break;
     }
   }
+  return checked;
 }
 
-TEST(ParallelDeterminismTest, PhasedFallbackIsThreadCountInvariant) {
-  WorkloadSnapshot one = RunWorkload(1, 0, /*pipelined=*/false);
-  WorkloadSnapshot eight = RunWorkload(8, 0, /*pipelined=*/false);
-  ExpectIdentical(one, eight);
+// The engine computes what the reference interpreter computes: every job of
+// every original query of the slice, and the rewritten revision's result
+// against its original plan (the paper's contract: rewritten == original).
+TEST(ParallelDeterminismTest, WorkloadMatchesReferenceInterpreter) {
+  auto bed_result = TestBed::Create(BedConfig(4, 0, kRecycling));
+  ASSERT_TRUE(bed_result.ok()) << bed_result.status().ToString();
+  TestBed& bed = **bed_result;
+  RunOptions no_rewrite;
+  no_rewrite.rewrite = false;
+  size_t jobs_checked = 0;
+  for (const auto& [analyst, version] : kOriginals) {
+    SCOPED_TRACE("A" + std::to_string(analyst) + "v" +
+                 std::to_string(version));
+    auto plan = BuildQuery(analyst, version);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto run = bed.session().Run(std::move(*plan), no_rewrite);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    jobs_checked += ExpectJobsMatchReference(bed, *run);
+  }
+  EXPECT_GE(jobs_checked, 6u);
+
+  auto revised = BuildQuery(kRevision.first, kRevision.second);
+  ASSERT_TRUE(revised.ok()) << revised.status().ToString();
+  auto want = reference::EvaluatePlan(
+      bed.session(), plan::Plan(plan::CloneTree(revised->root()), "original"));
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto rewritten = bed.session().Run(std::move(*revised));
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_TRUE(rewritten->rewritten && rewritten->rewrite.improved);
+  EXPECT_TRUE(
+      reference::SameRows(*want, reference::TableRows(*rewritten->table)));
 }
 
 // Heavy key skew with a forced odd bucket count: the light buckets' last
 // producer hands them off (per-bucket countdown latch) while the heavy
 // bucket's producers are still running, exercising the early-handoff path
-// that a uniform workload rarely hits. Results must still be byte-identical
-// to the serial phased run.
+// that a uniform workload rarely hits. The query runs twice per session, so
+// with recycling on the second run replays the cached grouping routes.
+// Every run must be byte-identical to the serial run without recycling and
+// must match the reference interpreter.
 TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
-  auto run_skewed = [](int num_threads, bool pipelined) {
+  const std::string oql =
+      "g = scan SKEW | groupby k count(*) as n, sum(v) as s;";
+  auto run_skewed = [&](int num_threads, uint64_t recycle_budget_bytes) {
     SessionOptions options;
     options.engine.num_threads = num_threads;
     options.engine.num_reduce_tasks = 7;
-    options.engine.pipelined = pipelined;
+    options.server.recycle_budget_bytes = recycle_budget_bytes;
     auto session = Session::Create(options);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
 
@@ -227,21 +233,34 @@ TEST(ParallelDeterminismTest, SkewedKeysAreThreadAndModeInvariant) {
             ->RegisterTable(storage::TablePtr(std::move(skew)), {"k"})
             .ok());
 
-    auto run = (*session)->Run(
-        "g = scan SKEW | groupby k count(*) as n, sum(v) as s;",
-        RunOptions{.rewrite = false});
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    std::vector<storage::Row> rows;
-    if (run.ok() && run->table != nullptr) rows = run->table->rows();
-    return rows;
+    RunOptions no_rewrite;
+    no_rewrite.rewrite = false;
+    std::vector<std::vector<storage::Row>> runs;
+    for (int rep = 0; rep < 2; ++rep) {
+      auto run = (*session)->Run(oql, no_rewrite);
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      if (run.ok() && run->table != nullptr) runs.push_back(run->table->rows());
+    }
+    auto want = reference::EvaluateOql(**session, oql);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (want.ok()) {
+      for (const auto& rows : runs) {
+        EXPECT_TRUE(reference::SameRows(*want, rows));
+      }
+    }
+    return runs;
   };
 
-  const std::vector<storage::Row> serial =
-      run_skewed(/*num_threads=*/1, /*pipelined=*/false);
-  ASSERT_FALSE(serial.empty());
-  for (int threads : {2, 4, 8}) {
+  const auto serial = run_skewed(/*num_threads=*/1, kNoRecycling);
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_FALSE(serial[0].empty());
+  EXPECT_EQ(serial[0], serial[1]);
+  for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(serial, run_skewed(threads, /*pipelined=*/true));
+    const auto recycled = run_skewed(threads, kRecycling);
+    ASSERT_EQ(recycled.size(), 2u);
+    EXPECT_EQ(serial[0], recycled[0]);
+    EXPECT_EQ(serial[0], recycled[1]);
   }
 }
 

@@ -1,7 +1,8 @@
 // Randomized property tests: generate random plans, mutate them the way
 // analysts revise queries, and check the system-level invariants —
-// deterministic execution, annotation stability, and above all that every
-// rewrite BFREWRITE produces computes exactly the original result.
+// execution agrees with the reference interpreter (reference_exec.h) and is
+// deterministic, annotation is stable, and above all every rewrite
+// BFREWRITE produces computes exactly the original result.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "exec/engine.h"
+#include "exec/hash/recycler.h"
 #include "plan/fingerprint.h"
+#include "reference_exec.h"
 #include "rewrite/bf_rewrite.h"
 #include "storage/dfs.h"
 #include "udf/builtin_udfs.h"
@@ -61,6 +64,9 @@ class PropertyTest : public ::testing::TestWithParam<int> {
         ctx, optimizer::CostModel());
     engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
                                              optimizer_.get());
+    // Repeated scans of TWTR recycle join builds and group-by routes, so
+    // the checks below cover recycled execution too.
+    engine_->set_recycler(&recycler_);
     bfr_ = std::make_unique<rewrite::BfRewriter>(optimizer_.get(), &views_);
   }
 
@@ -166,17 +172,12 @@ class PropertyTest : public ::testing::TestWithParam<int> {
     return plan::Plan(root, "mutated");
   }
 
-  std::vector<storage::Row> SortedRows(const storage::TablePtr& t) {
-    std::vector<storage::Row> rows = t->rows();
-    std::sort(rows.begin(), rows.end(),
-              [](const storage::Row& a, const storage::Row& b) {
-                for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-                  if (a[i] < b[i]) return true;
-                  if (b[i] < a[i]) return false;
-                }
-                return a.size() < b.size();
-              });
-    return rows;
+  // The reference interpreter's result for (prepared) `plan`.
+  reference::Rows Reference(const plan::Plan& plan) {
+    auto rows = reference::Evaluate(
+        plan.root(), reference::StoreScans(catalog_, views_, dfs_), udfs_);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    return rows.ok() ? *rows : reference::Rows{};
   }
 
   storage::Dfs dfs_;
@@ -184,10 +185,13 @@ class PropertyTest : public ::testing::TestWithParam<int> {
   catalog::ViewStore views_;
   udf::UdfRegistry udfs_;
   std::unique_ptr<optimizer::Optimizer> optimizer_;
+  exec::hash::HashRecycler recycler_;
   std::unique_ptr<exec::Engine> engine_;
   std::unique_ptr<rewrite::BfRewriter> bfr_;
 };
 
+// A plan computes what the reference interpreter computes, and running it
+// again (now with recycled hash tables) reproduces the exact same bytes.
 TEST_P(PropertyTest, ExecutionIsDeterministic) {
   Rng rng(GetParam() * 7919 + 1);
   for (int trial = 0; trial < 5; ++trial) {
@@ -196,6 +200,8 @@ TEST_P(PropertyTest, ExecutionIsDeterministic) {
     auto r1 = engine_->Execute(&p1);
     auto r2 = engine_->Execute(&p2);
     ASSERT_TRUE(r1.ok() && r2.ok());
+    EXPECT_TRUE(reference::SameRows(Reference(p1), r1.value().table->rows()))
+        << "seed " << GetParam() << " trial " << trial;
     ASSERT_EQ(r1.value().table->num_rows(), r2.value().table->num_rows());
     EXPECT_EQ(r1.value().table->rows(), r2.value().table->rows());
   }
@@ -235,8 +241,11 @@ TEST_P(PropertyTest, RewritesAreAlwaysEquivalent) {
     auto rewr_run = engine_->Execute(&best);
     auto orig_run = engine_->Execute(&revised_copy);
     ASSERT_TRUE(rewr_run.ok() && orig_run.ok());
-    EXPECT_EQ(SortedRows(orig_run.value().table),
-              SortedRows(rewr_run.value().table))
+    const reference::Rows want = Reference(revised_copy);
+    EXPECT_TRUE(reference::SameRows(want, orig_run.value().table->rows()))
+        << "engine disagrees with the reference for seed " << GetParam()
+        << " trial " << trial;
+    EXPECT_TRUE(reference::SameRows(want, rewr_run.value().table->rows()))
         << "rewrite changed the result for seed " << GetParam() << " trial "
         << trial;
   }

@@ -1,9 +1,9 @@
 // HashRecycler correctness: the cache's own contracts (pinning, codec
 // matching, budgeted eviction, view invalidation), the serving-layer wiring
-// (epoch sweep on publish, cross-tenant sharing), the recycle determinism
-// matrix {recycle,off} x {row,batch} x {pipelined,phased} x {1,8} threads,
-// and a concurrent-tenant stress run (TSan target: shared recycler under
-// racing lookups/inserts).
+// (epoch sweep on publish, cross-tenant sharing, the zero-budget off
+// switch), the recycle determinism matrix {recycle,off} x {1,2,4,8} threads
+// checked against the reference interpreter, and a concurrent-tenant stress
+// run (TSan target: shared recycler under racing lookups/inserts).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 
 #include "common/hash.h"
 #include "exec/hash/recycler.h"
+#include "reference_exec.h"
 #include "server/server.h"
 #include "session/session.h"
 #include "storage/table.h"
@@ -346,92 +347,112 @@ TEST(RecyclerServingTest, ViewKeyedEntriesAreSweptWhenViewsDie) {
   EXPECT_LT(recycler.stats().entries, entries_cached);
 }
 
-// The determinism contract under recycling: for every engine schedule and
-// thread count, a recycled (warm) run emits byte-identical results to both
-// its own cold run and to every other configuration — recycling is a pure
-// time optimization.
-TEST(RecyclerDeterminismTest, RecycleMatrixIsByteIdentical) {
-  struct ConfigRun {
-    std::vector<std::vector<storage::Row>> tables;
-    uint64_t hits = 0;
-  };
-  auto run_config = [](bool recycle, bool vectorized, bool pipelined,
-                       int threads) {
-    SessionOptions options;
-    options.engine.recycle_hash = recycle;
-    options.engine.vectorized = vectorized;
-    options.engine.pipelined = pipelined;
-    options.engine.num_threads = threads;
-    auto session = Session::Create(options);
-    EXPECT_TRUE(session.ok()) << session.status().ToString();
-    ConfigRun out;
-    if (!session.ok()) return out;
-    EXPECT_TRUE(
-        (*session)->RegisterTable(MakeKV("MB", 1500, 1, 0, 0, "bv"), {"k"}).ok());
-    EXPECT_TRUE(
-        (*session)->RegisterTable(MakeKV("MP", 2000, 7, 0, 3000), {"k"}).ok());
-    EXPECT_TRUE(
-        (*session)->RegisterTable(MakeKV("MG", 3000, 1, 0, 64), {"k"}).ok());
+// The join and group-by the budget and determinism tests repeat: MB is the
+// join's (smaller) build side and MG the group-by input, both direct scans,
+// so a second run of each can probe the recycled structures.
+const char* kRepeatedJoin = "p = scan MP; b = scan MB; r = join p b on k = k;";
+const char* kRepeatedGroupBy =
+    "g = scan MG | groupby k count(*) as n, sum(v) as s;";
 
-    RunOptions opts;
-    opts.rewrite = false;
-    // Two repetitions: the first builds (and, when recycling, caches), the
-    // second recycles. Both must produce the same bytes.
-    for (int rep = 0; rep < 2; ++rep) {
-      auto join = (*session)->Run(
-          "p = scan MP;"
-          "b = scan MB;"
-          "r = join p b on k = k;",
-          opts);
-      EXPECT_TRUE(join.ok()) << join.status().ToString();
-      if (join.ok() && join->table != nullptr) {
-        out.tables.push_back(join->table->rows());
-        out.hits += RecycleCounts(*join).first;
-      }
-      auto group = (*session)->Run(
-          "g = scan MG | groupby k count(*) as n, sum(v) as s;", opts);
-      EXPECT_TRUE(group.ok()) << group.status().ToString();
-      if (group.ok() && group->table != nullptr) {
-        out.tables.push_back(group->table->rows());
-        out.hits += RecycleCounts(*group).first;
-      }
+struct RepeatedRuns {
+  std::vector<std::vector<storage::Row>> tables;  // join, group-by, twice
+  uint64_t hits = 0;
+  std::unique_ptr<Session> session;
+};
+
+// Runs kRepeatedJoin and kRepeatedGroupBy twice each on a fresh session:
+// the first repetition builds (and, when recycling, caches), the second can
+// recycle.
+RepeatedRuns RunRepeated(uint64_t recycle_budget_bytes, int threads) {
+  SessionOptions options;
+  options.server.recycle_budget_bytes = recycle_budget_bytes;
+  options.engine.num_threads = threads;
+  auto session = Session::Create(options);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  RepeatedRuns out;
+  if (!session.ok()) return out;
+  out.session = std::move(*session);
+  Session& s = *out.session;
+  EXPECT_TRUE(s.RegisterTable(MakeKV("MB", 1500, 1, 0, 0, "bv"), {"k"}).ok());
+  EXPECT_TRUE(s.RegisterTable(MakeKV("MP", 2000, 7, 0, 3000), {"k"}).ok());
+  EXPECT_TRUE(s.RegisterTable(MakeKV("MG", 3000, 1, 0, 64), {"k"}).ok());
+
+  RunOptions opts;
+  opts.rewrite = false;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (const char* oql : {kRepeatedJoin, kRepeatedGroupBy}) {
+      auto run = s.Run(oql, opts);
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      if (!run.ok() || run->table == nullptr) continue;
+      out.tables.push_back(run->table->rows());
+      out.hits += RecycleCounts(*run).first;
     }
-    return out;
-  };
+  }
+  return out;
+}
 
-  const ConfigRun baseline = run_config(/*recycle=*/false,
-                                        /*vectorized=*/false,
-                                        /*pipelined=*/false, /*threads=*/1);
+// recycle_budget_bytes = 0 is the off switch: the server attaches no
+// recycler, so nothing is looked up, cached, or hit.
+TEST(RecyclerServingTest, ZeroBudgetAttachesNoRecycler) {
+  const RepeatedRuns off = RunRepeated(/*recycle_budget_bytes=*/0, 1);
+  ASSERT_EQ(off.tables.size(), 4u);
+  EXPECT_EQ(off.hits, 0u);
+  const auto stats = off.session->server().recycler().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+}
+
+// At the default budget the second join probes the cached build and the
+// second group-by replays the cached routes, with unchanged output.
+TEST(RecyclerServingTest, DefaultBudgetRecyclesRepeatedJoinAndGroupBy) {
+  const RepeatedRuns on = RunRepeated(ServerOptions{}.recycle_budget_bytes, 1);
+  ASSERT_EQ(on.tables.size(), 4u);
+  EXPECT_EQ(on.tables[0], on.tables[2]);  // join, cold vs recycled
+  EXPECT_EQ(on.tables[1], on.tables[3]);  // group-by, cold vs recycled
+  EXPECT_GE(on.hits, 2u);
+  const auto stats = on.session->server().recycler().stats();
+  EXPECT_GE(stats.hits, 2u);
+  EXPECT_GE(stats.entries, 2u);
+}
+
+// The determinism contract under recycling: at every thread count, a
+// recycled (warm) run emits byte-identical results to its own cold run and
+// to the serial run without a recycler, which in turn matches the reference
+// interpreter — recycling is a pure time optimization.
+TEST(RecyclerDeterminismTest, RecycleMatrixIsByteIdentical) {
+  const RepeatedRuns baseline = RunRepeated(/*recycle_budget_bytes=*/0, 1);
   ASSERT_EQ(baseline.tables.size(), 4u);
   EXPECT_EQ(baseline.hits, 0u);
+  for (int i = 0; i < 2; ++i) {
+    const char* oql = i == 0 ? kRepeatedJoin : kRepeatedGroupBy;
+    auto want = reference::EvaluateOql(*baseline.session, oql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(reference::SameRows(*want, baseline.tables[i])) << oql;
+  }
 
   uint64_t recycled_hits = 0;
   for (bool recycle : {false, true}) {
-    for (bool vectorized : {false, true}) {
-      for (bool pipelined : {false, true}) {
-        for (int threads : {1, 8}) {
-          if (!recycle && !vectorized && !pipelined && threads == 1) continue;
-          SCOPED_TRACE("recycle=" + std::to_string(recycle) +
-                       " vectorized=" + std::to_string(vectorized) +
-                       " pipelined=" + std::to_string(pipelined) +
-                       " threads=" + std::to_string(threads));
-          const ConfigRun got =
-              run_config(recycle, vectorized, pipelined, threads);
-          ASSERT_EQ(got.tables.size(), baseline.tables.size());
-          for (size_t t = 0; t < got.tables.size(); ++t) {
-            ASSERT_EQ(got.tables[t].size(), baseline.tables[t].size())
-                << "table " << t;
-            for (size_t r = 0; r < got.tables[t].size(); ++r) {
-              ASSERT_EQ(got.tables[t][r], baseline.tables[t][r])
-                  << "table " << t << " row " << r;
-            }
-          }
-          if (!recycle) {
-            EXPECT_EQ(got.hits, 0u);
-          } else {
-            recycled_hits += got.hits;
-          }
+    for (int threads : {1, 2, 4, 8}) {
+      if (!recycle && threads == 1) continue;
+      SCOPED_TRACE("recycle=" + std::to_string(recycle) +
+                   " threads=" + std::to_string(threads));
+      const RepeatedRuns got = RunRepeated(
+          recycle ? ServerOptions{}.recycle_budget_bytes : 0, threads);
+      ASSERT_EQ(got.tables.size(), baseline.tables.size());
+      for (size_t t = 0; t < got.tables.size(); ++t) {
+        ASSERT_EQ(got.tables[t].size(), baseline.tables[t].size())
+            << "table " << t;
+        for (size_t r = 0; r < got.tables[t].size(); ++r) {
+          ASSERT_EQ(got.tables[t][r], baseline.tables[t][r])
+              << "table " << t << " row " << r;
         }
+      }
+      if (!recycle) {
+        EXPECT_EQ(got.hits, 0u);
+      } else {
+        recycled_hits += got.hits;
       }
     }
   }
