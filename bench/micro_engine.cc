@@ -193,20 +193,13 @@ JsonRun RunEngineWorkload(int num_threads, size_t n_tweets, int iterations,
       run.metrics += result.value().metrics;
       if (it == 0 && result.value().table != nullptr) {
         // Determinism receipt: every thread count must produce the same
-        // bytes in the same order, so hash rows in order. Columnar outputs
-        // hash through HashRowAt (== RowHash over the materialized row, per
-        // the batch-layer contract) so the receipt never forces a row
-        // materialization the engine itself didn't pay for.
+        // bytes in the same order, so hash rows in order. Rows hash through
+        // HashRowAt (== RowHash over the row, per the batch-layer contract)
+        // so the receipt never builds rows the engine itself didn't.
         const storage::TablePtr& table = result.value().table;
-        if (table->columnar()) {
-          for (const storage::RowBatch& b : *table->ToBatches()) {
-            for (size_t r = 0; r < b.num_rows(); ++r) {
-              HashCombine(&run.output_hash, b.HashRowAt(r));
-            }
-          }
-        } else {
-          for (const storage::Row& r : table->rows()) {
-            HashCombine(&run.output_hash, storage::RowHash{}(r));
+        for (const storage::RowBatch& b : *table->ToBatches()) {
+          for (size_t r = 0; r < b.num_rows(); ++r) {
+            HashCombine(&run.output_hash, b.HashRowAt(r));
           }
         }
       }
@@ -303,14 +296,8 @@ RewritePass RunRewritePass(workload::TestBed* bed, size_t n_tweets,
           HashCombine(&pass.ordered_hash, h);
           pass.unordered_hash += h;  // commutative: order-insensitive
         };
-        if (table->columnar()) {
-          for (const storage::RowBatch& b : *table->ToBatches()) {
-            for (size_t r = 0; r < b.num_rows(); ++r) absorb(b.HashRowAt(r));
-          }
-        } else {
-          for (const storage::Row& r : table->rows()) {
-            absorb(storage::RowHash{}(r));
-          }
+        for (const storage::RowBatch& b : *table->ToBatches()) {
+          for (size_t r = 0; r < b.num_rows(); ++r) absorb(b.HashRowAt(r));
         }
       }
       rows_processed += n_tweets;
@@ -558,11 +545,7 @@ int RunDumpMetricsMode() {
         counts, {{"user_id", "user_id"}}));
     auto joined =
         bed->session().Run(std::move(sjoin), RunOptions{.rewrite = false});
-    if (!joined.ok() || !joined->table->columnar()) std::abort();
-    // A result consumer reading rows (an API edge) registers
-    // storage.table.rows_materialized; scanning the row-primary base
-    // tables above registered storage.table.rows_batched.
-    (void)joined->table->rows();
+    if (!joined.ok()) std::abort();
     // Re-materializing a plan the store already holds (rewrite off, so the
     // job really executes) registers viewstore.add.dedup.
     plan::Plan dup(

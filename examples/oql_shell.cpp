@@ -221,8 +221,9 @@ int RunProgram(workload::TestBed* bed, ClientSession* client,
   std::printf("   %s\n", table.schema().ToString().c_str());
   for (size_t i = 0; i < std::min<size_t>(table.num_rows(), 5); ++i) {
     std::printf("   ");
-    for (size_t c = 0; c < table.row(i).size(); ++c) {
-      std::printf("%s%s", c ? ", " : "", table.row(i)[c].ToString().c_str());
+    const storage::Row row = table.row(i);
+    for (size_t c = 0; c < row.size(); ++c) {
+      std::printf("%s%s", c ? ", " : "", row[c].ToString().c_str());
     }
     std::printf("\n");
   }

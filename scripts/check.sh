@@ -18,11 +18,12 @@
 # zero-budget switch, and concurrent tenants racing lookups/inserts on the
 # shared recycler), and the query-log suite (concurrent appends racing lock-free ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
-# ServerStress), and the columnar-boundary suites (view stats sampled in
+# ServerStress), the columnar-boundary suites (view stats sampled in
 # each job's tail, which runs on pool threads concurrently under the DAG
-# schedule; per-batch UDF input conversion; opaque filters over batch
-# inputs; the 4-tenant workload that must materialize no rows). TSan and ASan cannot share a build, hence the
-# separate tree.
+# schedule; UDF input conversion; opaque filters over batch inputs; the
+# 4-tenant workload with oracle-checked view stats), and the Table
+# concurrency test (8 readers of a sealed table racing an append to a copy
+# of it). TSan and ASan cannot share a build, hence the separate tree.
 #
 # Then runs the perf-floor gate
 # (scripts/bench.sh --check) against the REGULAR build — never the
@@ -46,10 +47,10 @@ cd ..
 echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
-  recycler_test query_log_test columnar_boundary_test -j
+  recycler_test query_log_test columnar_boundary_test storage_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary|TableConcurrency' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

@@ -4,32 +4,6 @@
 
 namespace opd::catalog {
 
-namespace {
-
-// Sketches `num_columns` columns over `n` rows, where `cell(i, c)` returns
-// the (Value::Hash, Value::ByteSize) pair of column `c` in the i-th row.
-template <typename CellFn>
-std::vector<ColumnSketch> Sketch(size_t num_columns, size_t n,
-                                 const CellFn& cell) {
-  std::vector<ColumnSketch> sketches(num_columns);
-  std::vector<uint64_t> hashes(n);
-  for (size_t c = 0; c < num_columns; ++c) {
-    uint64_t bytes = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const auto [hash, size] = cell(i, c);
-      hashes[i] = hash;
-      bytes += size;
-    }
-    std::sort(hashes.begin(), hashes.end());
-    const auto distinct = std::unique(hashes.begin(), hashes.end());
-    sketches[c] = ColumnSketch{
-        static_cast<uint64_t>(distinct - hashes.begin()), bytes};
-  }
-  return sketches;
-}
-
-}  // namespace
-
 double TableStats::DistinctOr(const std::string& column,
                               double fallback) const {
   auto it = distinct.find(column);
@@ -49,15 +23,6 @@ std::vector<ColumnSketch> SketchColumns(const storage::Table& table,
   auto row_of = [sample](size_t i) {
     return sample != nullptr ? (*sample)[i] : i;
   };
-  using Cell = std::pair<uint64_t, size_t>;
-
-  if (!table.columnar()) {
-    const std::vector<storage::Row>& rows = table.rows();
-    return Sketch(num_columns, n, [&](size_t i, size_t c) {
-      const storage::Value& v = rows[row_of(i)][c];
-      return Cell(v.Hash(), v.ByteSize());
-    });
-  }
 
   // Locate every sketched row as (batch, row within the batch).
   const auto batches = table.ToBatches();
@@ -71,11 +36,23 @@ std::vector<ColumnSketch> SketchColumns(const storage::Table& table,
     }
     first_row = end_row;
   }
-  return Sketch(num_columns, n, [&](size_t k, size_t c) {
-    const auto [b, r] = cells[k];
-    const storage::ColumnVector& col = (*batches)[b].column(c);
-    return Cell(col.HashAt(r), col.CellByteSize(r));
-  });
+
+  std::vector<ColumnSketch> sketches(num_columns);
+  std::vector<uint64_t> hashes(n);
+  for (size_t c = 0; c < num_columns; ++c) {
+    uint64_t bytes = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const auto [b, r] = cells[k];
+      const storage::ColumnVector& col = (*batches)[b].column(c);
+      hashes[k] = col.HashAt(r);
+      bytes += col.CellByteSize(r);
+    }
+    std::sort(hashes.begin(), hashes.end());
+    const auto distinct = std::unique(hashes.begin(), hashes.end());
+    sketches[c] = ColumnSketch{
+        static_cast<uint64_t>(distinct - hashes.begin()), bytes};
+  }
+  return sketches;
 }
 
 TableStats ComputeExactStats(const storage::Table& table) {

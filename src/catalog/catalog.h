@@ -39,11 +39,10 @@ struct ColumnSketch {
 };
 
 /// Sketches every column of `table` over the rows `sample` (ascending row
-/// indices), or over every row when `sample` is null. Batch-primary tables
-/// are read column-wise from their batches (ColumnVector::HashAt and
-/// CellByteSize equal Value::Hash and ByteSize by definition); row-primary
-/// tables are read from their rows. Neither converts the table. Distincts
-/// come from sort + unique over a column's hash vector.
+/// indices), or over every row when `sample` is null, reading column-wise
+/// from the table's batches (ColumnVector::HashAt and CellByteSize equal
+/// Value::Hash and ByteSize by definition). Distincts come from sort +
+/// unique over a column's hash vector.
 std::vector<ColumnSketch> SketchColumns(const storage::Table& table,
                                         const std::vector<size_t>* sample);
 

@@ -467,7 +467,7 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
       }
       case OpKind::kFilter: {
         // One task per batch; survivors are gathered column-wise (full-batch
-        // selections are zero-copy) and the output stays batch-primary.
+        // selections are zero-copy).
         const Table& in = *inputs[0];
         const plan::FilterCond& cond = node->filter;
         const BatchList in_list(in);
@@ -995,7 +995,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
                     return RowLess()(a->first, b->first);
                   });
         const auto& out_cols = node->out_schema.columns();
-        out.Reserve(ordered.size());
         for (GroupEntry* g : ordered) {
           Row r = std::move(g->first);
           const size_t key_size = r.size();
@@ -1010,10 +1009,9 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
       }
       case OpKind::kUdf: {
         // UDF local functions are opaque per-row/per-group user code: the
-        // engine falls back to row-at-a-time execution at this boundary
-        // (batch-primary inputs convert into a private row copy).
+        // engine falls back to row-at-a-time execution at this boundary.
         // Consecutive map stages fuse into one row loop and reduce stages
-        // use the latch-scheduled shuffle.
+        // use the latch-scheduled shuffle (see RunLocalFunctions).
         OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
                              ctx.udfs->Find(node->udf.udf_name));
         std::vector<LfStageRun> stage_runs;
@@ -1021,7 +1019,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         udf_opts.pool = pool_.get();
         udf_opts.block_size_bytes = block_size;
         udf_opts.num_reduce_tasks = options_.num_reduce_tasks;
-        udf_opts.pipelined = true;
         udf_opts.trace = trace;
         udf_opts.parent_span = span_id;
         udf_opts.trace_tasks = options_.trace_tasks;
@@ -1186,8 +1183,8 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         def.stats.avg_row_bytes = st.table->AvgRowBytes();
       }
       // The definition is complete here (data in DFS, stats collected) but
-      // is not yet visible: the whole run's views publish as one atomic
-      // batch below (or by the serving layer, when deferred).
+      // is not yet visible: the caller publishes the whole run's views as
+      // one atomic batch (ExecResult::pending_views).
       result.pending_views.push_back(std::move(def));
     }
     return Status::OK();
@@ -1249,19 +1246,6 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
   auto sink = results.find(plan->root().get());
   if (sink == results.end()) {
     return Status::Internal("plan produced no sink result");
-  }
-
-  // Publish the run's retained views as one atomic batch (one epoch bump
-  // per Execute), unless the caller — the serving layer — asked to defer
-  // publication to query completion.
-  if (options_.retain_views && !options_.defer_view_publish) {
-    const auto published = views_->PublishBatch(std::move(result.pending_views));
-    result.pending_views.clear();
-    for (const auto& pub : published) {
-      if (!pub.added) continue;
-      metrics.views_created += 1;
-      if (options_.metrics) registry.counter("engine.views_created").Inc();
-    }
   }
 
   result.table = sink->second;

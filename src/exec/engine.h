@@ -3,9 +3,9 @@
 // Executes an annotated plan job by job: every non-scan operator runs as one
 // MR job over real rows, materializes its output to the simulated DFS, and —
 // as in Hive — that materialization is retained as an opportunistic view
-// (with its AFK annotation, plan fingerprint, and sampled statistics) in the
-// ViewStore. Modeled cluster time is computed by applying the cost model to
-// the *observed* byte counts of each job.
+// (with its AFK annotation, plan fingerprint, and sampled statistics) that
+// the caller publishes to the ViewStore. Modeled cluster time is computed by
+// applying the cost model to the *observed* byte counts of each job.
 
 #ifndef OPD_EXEC_ENGINE_H_
 #define OPD_EXEC_ENGINE_H_
@@ -57,13 +57,6 @@ struct EngineOptions {
   /// Emit one span per pipeline/reduce task when a Trace is attached to
   /// Execute. Off keeps only the job/phase spans (cheaper for huge jobs).
   bool trace_tasks = true;
-  /// Defer view publication to the caller: instead of inserting retained
-  /// views into the ViewStore inline (one by one, mid-query), Execute
-  /// collects the fully-materialized definitions in
-  /// ExecResult::pending_views. The serving layer publishes them as one
-  /// atomic batch at query completion (snapshot-consistent visibility,
-  /// DESIGN.md §3). Only meaningful when `retain_views`.
-  bool defer_view_publish = false;
 };
 
 /// Observed execution record of one MR job — the raw material for
@@ -102,18 +95,19 @@ struct ExecResult {
   /// One record per executed MR job, in submission order.
   std::vector<JobRun> jobs;
   /// Materialized-view definitions awaiting publication, in job order
-  /// (only populated under EngineOptions::defer_view_publish; the data is
-  /// already in the DFS, the metadata just isn't visible yet).
+  /// (empty unless EngineOptions::retain_views). The data is already in the
+  /// DFS; the caller publishes the definitions, as one atomic batch, to make
+  /// them visible (the serving layer does so at query completion,
+  /// DESIGN.md §3).
   std::vector<catalog::ViewDefinition> pending_views;
 };
 
 /// \brief Executes plans over the simulated cluster.
 class Engine {
  public:
-  Engine(storage::Dfs* dfs, catalog::ViewStore* views,
-         const optimizer::Optimizer* optimizer, EngineOptions options = {})
+  Engine(storage::Dfs* dfs, const optimizer::Optimizer* optimizer,
+         EngineOptions options = {})
       : dfs_(dfs),
-        views_(views),
         optimizer_(optimizer),
         options_(options),
         stats_(options.stats_sample_fraction, options.stats_seed) {
@@ -122,8 +116,8 @@ class Engine {
   }
 
   /// Prepares (annotates/costs) and executes `plan`. The sink's output table
-  /// and the run's metrics are returned; intermediate materializations are
-  /// registered as opportunistic views when retention is on.
+  /// and the run's metrics are returned; when retention is on, every job's
+  /// materialization comes back as a view definition in `pending_views`.
   ///
   /// Every job runs batch-at-a-time over columnar data: project/filter as
   /// fused expression programs, join/group-by as morsel-driven pipelined
@@ -160,7 +154,6 @@ class Engine {
 
  private:
   storage::Dfs* dfs_;
-  catalog::ViewStore* views_;
   const optimizer::Optimizer* optimizer_;
   optimizer::CostAccountant* accountant_ = nullptr;
   hash::HashRecycler* recycler_ = nullptr;

@@ -22,9 +22,9 @@ class StatsCollector {
   /// come from job counters (exact); per-column distincts and widths are
   /// estimated from the sample. The sample is drawn from the seeded RNG, one
   /// draw per row in row order, so it depends on neither threading nor the
-  /// table's representation; columns are then sketched column-wise
-  /// (catalog::SketchColumns), so batch-primary tables never materialize
-  /// rows. Runs on the calling thread: a sample is a few percent of the
+  /// table's batch layout; columns are then sketched column-wise
+  /// (catalog::SketchColumns), without building rows. Runs on the calling
+  /// thread: a sample is a few percent of the
   /// table, cheaper to sketch than a pool dispatch, whose wait would run
   /// unrelated queued tasks on this thread.
   catalog::TableStats Collect(const storage::Table& table) const;

@@ -65,36 +65,6 @@ struct ReduceGroup {
   std::vector<Row> emitted;   // reduce_fn output for this group
 };
 
-// Runs one map local function over `rows`, split into block-sized tasks;
-// partial outputs are concatenated in task order (identical to a serial
-// pass since map functions are applied row-at-a-time in order).
-Status RunMapStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
-                   const std::vector<Row>& rows, double avg_row_bytes,
-                   const UdfExecOptions& opts, uint64_t stage_span,
-                   std::vector<Row>* out, double* max_task_seconds) {
-  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), avg_row_bytes, opts.block_size_bytes);
-  std::vector<std::vector<Row>> partials(splits.size());
-  OPD_RETURN_NOT_OK(RunWave(
-      opts, stage_span, "map", splits.size(),
-      [&](size_t t) -> Status {
-        std::vector<Row>& local = partials[t];
-        local.reserve(splits[t].size());
-        for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-          lf.map_fn(rows[r], ctx, &local);
-        }
-        return Status::OK();
-      },
-      max_task_seconds));
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  out->reserve(out->size() + total);
-  for (auto& p : partials) {
-    for (Row& r : p) out->push_back(std::move(r));
-  }
-  return Status::OK();
-}
-
 // Runs one reduce local function: hash-partition rows by key into reduce
 // buckets, group and reduce each bucket as one task, then merge the groups'
 // outputs in global key order — the same order the previous ordered-map
@@ -126,115 +96,66 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   // Per-row key hashes are computed once during partitioning and kept
   // here, so the flat group index never re-hashes a key.
   std::vector<uint64_t> hash_of(n);
-
-  // Grouping + reduce of one bucket, shared by both schedules. `for_each`
-  // yields the bucket's row indices in original row order, so per-key input
-  // order — and therefore the reduce function's view of each group — is
-  // schedule-independent. Rows are moved out of the shared vector; buckets
-  // partition the index space, so concurrent consumers touch disjoint rows.
-  // `bucket_n` is the bucket's row count, pre-sizing the flat index.
   std::vector<std::vector<ReduceGroup>> bucket_groups(num_buckets);
-  auto reduce_bucket = [&](size_t b, size_t bucket_n,
-                           const auto& for_each) -> Status {
-    std::vector<ReduceGroup>& groups = bucket_groups[b];
-    hash::FlatGroupIndex group_index;
-    group_index.Reserve(bucket_n, 0);
-    hash::KeyScratch key;
-    for_each([&](size_t r) {
-      Row& row = (*rows)[r];
-      hash::NormalizeKeyRow(row, key_idx, &key);
-      auto [id, inserted] =
-          group_index.InsertOrGet(hash_of[r], key.data(), key.size());
-      if (inserted) {
-        groups.emplace_back();
-        groups.back().key = key_of(row);
-      }
-      groups[id].rows.push_back(std::move(row));
-    });
-    std::sort(groups.begin(), groups.end(),
-              [](const ReduceGroup& a, const ReduceGroup& g) {
-                return RowLess()(a.key, g.key);
-              });
-    for (ReduceGroup& g : groups) {
-      lf.reduce_fn(g.rows, ctx, &g.emitted);
-      g.rows.clear();
-    }
-    return Status::OK();
-  };
-
   const double avg_row_bytes =
       n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
   double partition_max_s = 0, reduce_max_s = 0;
 
-  if (opts.pipelined) {
-    // Fused partition: each producer hashes its split's keys straight into
-    // its own per-bucket buffer slots; a bucket's reduce starts the moment
-    // its last producer finishes (no partition barrier, no global scatter).
-    const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-        n, avg_row_bytes, opts.block_size_bytes);
-    storage::PartitionBuffer<size_t> buf(splits.size(), num_buckets);
-    const PipelineCtx pctx{opts.pool, opts.trace, stage_span,
-                           opts.trace_tasks, opts.tasks};
-    OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-        pctx, splits.size(),
-        [&](size_t t) -> Status {
-          const RowRange& split = splits[t];
-          buf.ReserveProducer(t, split.size());
-          for (size_t r = split.begin; r < split.end; ++r) {
-            const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-            hash_of[r] = h;
-            buf.Append(t,
-                       num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets),
-                       r);
+  // Fused partition: each producer hashes its split's keys straight into
+  // its own per-bucket buffer slots; a bucket's reduce starts the moment
+  // its last producer finishes (no partition barrier, no global scatter).
+  const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
+      n, avg_row_bytes, opts.block_size_bytes);
+  storage::PartitionBuffer<size_t> buf(splits.size(), num_buckets);
+  const PipelineCtx pctx{opts.pool, opts.trace, stage_span,
+                         opts.trace_tasks, opts.tasks};
+  OPD_RETURN_NOT_OK(RunPipelinedShuffle(
+      pctx, splits.size(),
+      [&](size_t t) -> Status {
+        const RowRange& split = splits[t];
+        buf.ReserveProducer(t, split.size());
+        for (size_t r = split.begin; r < split.end; ++r) {
+          const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
+          hash_of[r] = h;
+          buf.Append(t,
+                     num_buckets <= 1 ? 0 : hash::BucketOf(h, num_buckets),
+                     r);
+        }
+        return Status::OK();
+      },
+      num_buckets,
+      [&](size_t b) -> Status {
+        // The bucket yields its row indices in original row order, so each
+        // group's input order, and so the reduce function's view of it, is
+        // independent of the schedule. Rows are moved out of the shared
+        // vector; buckets partition the index space, so concurrent reduce
+        // tasks touch disjoint rows.
+        std::vector<ReduceGroup>& groups = bucket_groups[b];
+        hash::FlatGroupIndex group_index;
+        group_index.Reserve(buf.BucketSize(b), 0);
+        hash::KeyScratch key;
+        buf.ForEachInBucket(b, [&](size_t r) {
+          Row& row = (*rows)[r];
+          hash::NormalizeKeyRow(row, key_idx, &key);
+          auto [id, inserted] =
+              group_index.InsertOrGet(hash_of[r], key.data(), key.size());
+          if (inserted) {
+            groups.emplace_back();
+            groups.back().key = key_of(row);
           }
-          return Status::OK();
-        },
-        num_buckets,
-        [&](size_t b) -> Status {
-          return reduce_bucket(b, buf.BucketSize(b),
-                               [&](auto&& f) { buf.ForEachInBucket(b, f); });
-        },
-        &partition_max_s, &reduce_max_s));
-  } else {
-    // Map side of the shuffle: compute each row's bucket in parallel.
-    std::vector<uint32_t> bucket_of(n, 0);
-    if (num_buckets > 1) {
-      const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-          n, avg_row_bytes, opts.block_size_bytes);
-      OPD_RETURN_NOT_OK(RunWave(
-          opts, stage_span, "partition", splits.size(),
-          [&](size_t t) -> Status {
-            for (size_t r = splits[t].begin; r < splits[t].end; ++r) {
-              const uint64_t h = hash::FlatRowKeyHash((*rows)[r], key_idx);
-              hash_of[r] = h;
-              bucket_of[r] = hash::BucketOf(h, num_buckets);
-            }
-            return Status::OK();
-          },
-          &partition_max_s));
-    } else {
-      // Single bucket: the input is below one block by definition, so the
-      // hash fill runs serially without a partition wave.
-      for (size_t r = 0; r < n; ++r) {
-        hash_of[r] = hash::FlatRowKeyHash((*rows)[r], key_idx);
-      }
-    }
-
-    // Scatter row indices to buckets, preserving original row order per key.
-    std::vector<std::vector<size_t>> bucket_rows(num_buckets);
-    for (auto& b : bucket_rows) b.reserve(n / num_buckets + 1);
-    for (size_t r = 0; r < n; ++r) bucket_rows[bucket_of[r]].push_back(r);
-
-    // Reduce side: each bucket groups its rows and applies the reduce fn.
-    OPD_RETURN_NOT_OK(RunWave(
-        opts, stage_span, "reduce", num_buckets,
-        [&](size_t b) -> Status {
-          return reduce_bucket(b, bucket_rows[b].size(), [&](auto&& f) {
-            for (size_t r : bucket_rows[b]) f(r);
-          });
-        },
-        &reduce_max_s));
-  }
+          groups[id].rows.push_back(std::move(row));
+        });
+        std::sort(groups.begin(), groups.end(),
+                  [](const ReduceGroup& a, const ReduceGroup& g) {
+                    return RowLess()(a.key, g.key);
+                  });
+        for (ReduceGroup& g : groups) {
+          lf.reduce_fn(g.rows, ctx, &g.emitted);
+          g.rows.clear();
+        }
+        return Status::OK();
+      },
+      &partition_max_s, &reduce_max_s));
   if (max_task_seconds != nullptr) {
     *max_task_seconds = partition_max_s + reduce_max_s;
   }
@@ -262,8 +183,8 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   return Status::OK();
 }
 
-// Checks one emitted row against the stage's output schema; the error text
-// matches the end-of-stage validation in RunLocalFunctions exactly.
+// Checks one emitted row against the stage's output schema (a cheap sanity
+// check on user code).
 Status CheckArity(const udf::LocalFunction& lf, const Row& r,
                   const Schema& out_schema) {
   if (r.size() == out_schema.num_columns()) return Status::OK();
@@ -273,23 +194,32 @@ Status CheckArity(const udf::LocalFunction& lf, const Row& r,
                           std::to_string(out_schema.num_columns()));
 }
 
-// Runs the consecutive map stages [s, e) of `udf` as ONE fused wave over
-// `rows`: each task streams its input split through every stage's map
-// function in turn (ping-pong buffers), so intermediate stage outputs never
-// materialize globally. Task-order concatenation of the final partials is
-// identical to running the stages one wave at a time, because map functions
-// are applied row-at-a-time in order either way.
+// The rows a fused map group reads: the UDF's input table, or the rows the
+// previous (reduce) stage emitted when `table` is null.
+struct MapInput {
+  const Table* table = nullptr;
+  const std::vector<Row>* rows = nullptr;
+};
+
+// Runs the consecutive map stages [s, e) of `udf` (one or more) as ONE
+// fused wave over `input`, split into block-sized tasks: each task streams
+// its input split through every stage's map function in turn (ping-pong
+// buffers), so intermediate stage outputs never materialize globally.
+// Task-order concatenation of the final partials equals a serial pass,
+// because map functions are applied row-at-a-time in order. A task reads an
+// input table batch by batch into one scratch row, so the table's rows are
+// never built all at once. The group's output goes to `out` as rows, or,
+// when the group ends the UDF, into `out_table`: each task then builds the
+// batches of its share in parallel, with dictionaries of its own.
 //
 // Accounting stays per stage: boundary row/byte counts are summed across
 // tasks, and the group's wall/straggler time is attributed to the first
 // stage of the group (so per-kind wall sums, which calibration consumes,
-// are preserved). Appends one LfStageRun per fused stage and leaves the
-// group's output in `*out`.
+// are preserved). Appends one LfStageRun per fused stage.
 Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
-                         const std::vector<Row>& rows,
-                         const udf::Params& params,
+                         const MapInput& input, const udf::Params& params,
                          const UdfExecOptions& opts, Schema* cur_schema,
-                         std::vector<Row>* out,
+                         std::vector<Row>* out, Table* out_table,
                          std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
   const size_t k = e - s;
@@ -317,71 +247,121 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
     ctxs[i].params = &params;
   }
 
+  size_t n = 0;
   uint64_t in_bytes = 0;
-  for (const Row& r : rows) in_bytes += storage::RowByteSize(r);
+  std::shared_ptr<const std::vector<storage::RowBatch>> batches;
+  std::vector<size_t> batch_start;  // first row of each batch
+  if (input.table != nullptr) {
+    n = input.table->num_rows();
+    in_bytes = input.table->ByteSize();
+    batches = input.table->ToBatches();
+    for (size_t b = 0, row = 0; b < batches->size(); ++b) {
+      batch_start.push_back(row);
+      row += (*batches)[b].num_rows();
+    }
+  } else {
+    n = input.rows->size();
+    for (const Row& r : *input.rows) in_bytes += storage::RowByteSize(r);
+  }
   const double avg_row_bytes =
-      rows.empty() ? 0.0
-                   : static_cast<double>(in_bytes) /
-                         static_cast<double>(rows.size());
+      n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      rows.size(), avg_row_bytes, opts.block_size_bytes);
+      n, avg_row_bytes, opts.block_size_bytes);
 
   obs::TraceSpan stage_span(opts.trace, opts.parent_span,
                             "stage:" + fused_name, "stage");
   const auto start = std::chrono::steady_clock::now();
 
-  // Per-task outputs plus per-task counts at each intermediate stage
-  // boundary (boundary j = output of stage s+j, 0 <= j < k-1).
-  std::vector<std::vector<Row>> partials(splits.size());
-  std::vector<std::vector<uint64_t>> mid_rows(splits.size());
-  std::vector<std::vector<uint64_t>> mid_bytes(splits.size());
+  // Per-task outputs plus per-task counts at each stage boundary (boundary
+  // j = output of stage s+j, 0 <= j < k).
+  std::vector<std::vector<Row>> partials(out_table == nullptr ? splits.size()
+                                                              : 0);
+  std::vector<Table> parts(out_table == nullptr ? 0 : splits.size());
+  std::vector<double> build_s(parts.size(), 0.0);
+  std::vector<std::vector<uint64_t>> out_rows(splits.size());
+  std::vector<std::vector<uint64_t>> out_bytes(splits.size());
   double wave_max_s = 0;
   OPD_RETURN_NOT_OK(RunWave(
       opts, stage_span.id(), "pipeline", splits.size(),
       [&](size_t t) -> Status {
         const RowRange& split = splits[t];
-        mid_rows[t].assign(k - 1, 0);
-        mid_bytes[t].assign(k - 1, 0);
+        out_rows[t].assign(k, 0);
+        out_bytes[t].assign(k, 0);
         std::vector<Row> cur, next;
         cur.reserve(split.size());
-        for (size_t r = split.begin; r < split.end; ++r) {
-          lfs[s].map_fn(rows[r], ctxs[0], &cur);
-        }
-        for (size_t i = 1; i < k; ++i) {
-          // Account + validate the boundary feeding stage s+i (the last
-          // stage's output is validated by the caller, like unfused runs).
-          for (const Row& r : cur) {
-            OPD_RETURN_NOT_OK(CheckArity(lfs[s + i - 1], r, schemas[i]));
-            mid_bytes[t][i - 1] += storage::RowByteSize(r);
+        if (input.table == nullptr) {
+          for (size_t r = split.begin; r < split.end; ++r) {
+            lfs[s].map_fn((*input.rows)[r], ctxs[0], &cur);
           }
-          mid_rows[t][i - 1] = cur.size();
-          next.clear();
-          for (const Row& r : cur) lfs[s + i].map_fn(r, ctxs[i], &next);
-          cur.swap(next);
+        } else if (split.size() > 0) {
+          Row scratch;
+          size_t b = static_cast<size_t>(
+                         std::upper_bound(batch_start.begin(),
+                                          batch_start.end(), split.begin) -
+                         batch_start.begin()) -
+                     1;
+          for (size_t r = split.begin; r < split.end; ++r) {
+            while (r - batch_start[b] >= (*batches)[b].num_rows()) ++b;
+            (*batches)[b].ReadRow(r - batch_start[b], &scratch);
+            lfs[s].map_fn(scratch, ctxs[0], &cur);
+          }
         }
-        partials[t] = std::move(cur);
+        for (size_t i = 0; i < k; ++i) {
+          if (i > 0) {
+            next.clear();
+            for (const Row& r : cur) lfs[s + i].map_fn(r, ctxs[i], &next);
+            cur.swap(next);
+          }
+          // Account + validate the output of stage s+i.
+          for (const Row& r : cur) {
+            OPD_RETURN_NOT_OK(CheckArity(lfs[s + i], r, schemas[i + 1]));
+            out_bytes[t][i] += storage::RowByteSize(r);
+          }
+          out_rows[t][i] = cur.size();
+        }
+        if (out_table == nullptr) {
+          partials[t] = std::move(cur);
+          return Status::OK();
+        }
+        const auto build_start = std::chrono::steady_clock::now();
+        parts[t] = Table("", schemas[k]);
+        for (Row& r : cur) OPD_RETURN_NOT_OK(parts[t].AppendRow(std::move(r)));
+        build_s[t] = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - build_start)
+                         .count();
         return Status::OK();
       },
       &wave_max_s));
-  const double wall_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+  // The output build is not user code, so it stays out of the group's
+  // wall time (exactly so for a serial run, as calibration makes).
+  double wall_s = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  for (double b : build_s) wall_s -= b;
+  wall_s = std::max(wall_s, 0.0);
 
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  out->clear();
-  out->reserve(total);
-  for (auto& p : partials) {
-    for (Row& r : p) out->push_back(std::move(r));
-  }
-  uint64_t out_bytes = 0;
-  for (const Row& r : *out) {
-    OPD_RETURN_NOT_OK(CheckArity(lfs[e - 1], r, schemas[k]));
-    out_bytes += storage::RowByteSize(r);
+  if (out_table == nullptr) {
+    size_t total = 0;
+    for (const auto& p : partials) total += p.size();
+    out->clear();
+    out->reserve(total);
+    for (auto& p : partials) {
+      for (Row& r : p) out->push_back(std::move(r));
+    }
+  } else {
+    std::vector<storage::RowBatch> out_batches;
+    for (const Table& part : parts) {
+      for (const storage::RowBatch& b : *part.ToBatches()) {
+        if (b.num_rows() > 0) out_batches.push_back(b);
+      }
+    }
+    // An empty output keeps one empty batch, as an empty table has.
+    if (out_batches.empty()) out_batches = *parts.front().ToBatches();
+    *out_table = Table::FromBatches("", schemas[k], std::move(out_batches));
   }
 
   if (stage_span) {
-    stage_span.AddArg("in_rows", static_cast<uint64_t>(rows.size()));
+    stage_span.AddArg("in_rows", static_cast<uint64_t>(n));
     stage_span.AddArg("in_bytes", in_bytes);
     stage_span.AddArg("fused_stages", static_cast<uint64_t>(k));
     stage_span.End();
@@ -393,20 +373,17 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
       run.lf_name = lfs[s + i].name;
       run.kind = udf::LfKind::kMap;
       if (i == 0) {
-        run.in_rows = rows.size();
+        run.in_rows = n;
         run.in_bytes = in_bytes;
         run.wall_seconds = wall_s;
         run.max_task_seconds = wave_max_s;
       } else {
-        for (const auto& m : mid_rows) run.in_rows += m[i - 1];
-        for (const auto& m : mid_bytes) run.in_bytes += m[i - 1];
+        run.in_rows = stages->back().out_rows;
+        run.in_bytes = stages->back().out_bytes;
       }
-      if (i == k - 1) {
-        run.out_rows = out->size();
-        run.out_bytes = out_bytes;
-      } else {
-        for (const auto& m : mid_rows) run.out_rows += m[i];
-        for (const auto& m : mid_bytes) run.out_bytes += m[i];
+      for (size_t t = 0; t < splits.size(); ++t) {
+        run.out_rows += out_rows[t][i];
+        run.out_bytes += out_bytes[t][i];
       }
       stages->push_back(std::move(run));
     }
@@ -427,48 +404,49 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
   Schema cur_schema = input.schema();
-  // The first stage reads a row-primary input's rows in place; `owned`
-  // takes over once a stage produces new rows (or a leading reduce stage
-  // needs a mutable copy). A batch-primary input converts straight into
-  // `owned`, since `input.rows()` would cache a row copy on the shared
-  // table for its lifetime. The conversion runs on this thread: as a pool
-  // wave of per-batch tasks it measured slower under concurrent serving,
-  // because a wave's wait runs unrelated queued tasks on the waiting
-  // thread.
-  std::vector<Row> owned;
-  const std::vector<Row>* cur_rows = &owned;
-  if (input.columnar()) {
-    owned.reserve(input.num_rows());
-    for (const storage::RowBatch& b : *input.ToBatches()) {
-      for (size_t r = 0; r < b.num_rows(); ++r) owned.push_back(b.RowAt(r));
-    }
-  } else {
-    cur_rows = &input.rows();
-  }
+  // A leading map group reads `input` in its tasks; every later stage reads
+  // the rows its predecessor emitted. A leading reduce stage converts the
+  // input into rows on this thread: as a pool wave of per-batch tasks the
+  // conversion measured slower under concurrent serving, because a wave's
+  // wait runs unrelated queued tasks on the waiting thread.
+  const Table* table_input = &input;
+  std::vector<Row> rows;
 
   const auto& lfs = udf.local_functions;
   for (size_t stage_i = 0; stage_i < lfs.size();) {
-    // Pipelined mode fuses a maximal run of consecutive map stages into one
-    // wave (no intermediate materialization, one task set, one stage span).
-    if (exec_options.pipelined && lfs[stage_i].kind == udf::LfKind::kMap &&
-        stage_i + 1 < lfs.size() &&
-        lfs[stage_i + 1].kind == udf::LfKind::kMap) {
-      size_t stage_e = stage_i + 2;
+    // A maximal run of consecutive map stages runs as one fused wave (no
+    // intermediate materialization, one task set, one stage span).
+    if (lfs[stage_i].kind == udf::LfKind::kMap) {
+      size_t stage_e = stage_i + 1;
       while (stage_e < lfs.size() && lfs[stage_e].kind == udf::LfKind::kMap) {
         ++stage_e;
       }
+      if (stage_e == lfs.size()) {
+        return RunFusedMapStages(udf, stage_i, stage_e,
+                                 MapInput{table_input, &rows}, params,
+                                 exec_options, &cur_schema, nullptr, output,
+                                 stages);
+      }
       std::vector<Row> fused_out;
-      OPD_RETURN_NOT_OK(RunFusedMapStages(udf, stage_i, stage_e, *cur_rows,
-                                          params, exec_options, &cur_schema,
-                                          &fused_out, stages));
-      owned = std::move(fused_out);
-      cur_rows = &owned;
+      OPD_RETURN_NOT_OK(RunFusedMapStages(
+          udf, stage_i, stage_e, MapInput{table_input, &rows}, params,
+          exec_options, &cur_schema, &fused_out, nullptr, stages));
+      table_input = nullptr;
+      rows = std::move(fused_out);
       stage_i = stage_e;
       continue;
     }
 
     const udf::LocalFunction& lf = lfs[stage_i];
     ++stage_i;
+    if (table_input != nullptr) {
+      rows = input.rows();
+      table_input = nullptr;
+    }
+    if (!lf.reduce_fn) {
+      return Status::Internal("reduce local function missing body: " +
+                              lf.name);
+    }
     OPD_ASSIGN_OR_RETURN(Schema out_schema, lf.out_schema(cur_schema, params));
     udf::LfContext ctx;
     ctx.in_schema = &cur_schema;
@@ -478,38 +456,16 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     LfStageRun run;
     run.lf_name = lf.name;
     run.kind = lf.kind;
-    run.in_rows = cur_rows->size();
-    for (const Row& r : *cur_rows) run.in_bytes += storage::RowByteSize(r);
+    run.in_rows = rows.size();
+    for (const Row& r : rows) run.in_bytes += storage::RowByteSize(r);
 
     obs::TraceSpan stage_span(exec_options.trace, exec_options.parent_span,
                               "stage:" + lf.name, "stage");
     std::vector<Row> next_rows;
     auto start = std::chrono::steady_clock::now();
-    if (lf.kind == udf::LfKind::kMap) {
-      if (!lf.map_fn) {
-        return Status::Internal("map local function missing body: " + lf.name);
-      }
-      const double avg_row_bytes =
-          cur_rows->empty() ? 0.0
-                            : static_cast<double>(run.in_bytes) /
-                                  static_cast<double>(cur_rows->size());
-      OPD_RETURN_NOT_OK(RunMapStage(lf, ctx, *cur_rows, avg_row_bytes,
-                                    exec_options, stage_span.id(), &next_rows,
-                                    &run.max_task_seconds));
-    } else {
-      if (!lf.reduce_fn) {
-        return Status::Internal("reduce local function missing body: " +
-                                lf.name);
-      }
-      if (cur_rows != &owned) {
-        owned = *cur_rows;  // reduce consumes its input rows
-        cur_rows = &owned;
-      }
-      OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &owned,
-                                       run.in_bytes, exec_options,
-                                       stage_span.id(), &next_rows,
-                                       &run.max_task_seconds));
-    }
+    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &rows, run.in_bytes,
+                                     exec_options, stage_span.id(),
+                                     &next_rows, &run.max_task_seconds));
     auto end = std::chrono::steady_clock::now();
     run.wall_seconds = std::chrono::duration<double>(end - start).count();
     if (stage_span) {
@@ -518,27 +474,19 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
       stage_span.End();
     }
 
-    // Validate arity of produced rows (cheap sanity check on user code).
     for (const Row& r : next_rows) {
-      if (r.size() != out_schema.num_columns()) {
-        return Status::Internal("local function " + lf.name +
-                                " emitted row of arity " +
-                                std::to_string(r.size()) + ", schema has " +
-                                std::to_string(out_schema.num_columns()));
-      }
+      OPD_RETURN_NOT_OK(CheckArity(lf, r, out_schema));
+      run.out_bytes += storage::RowByteSize(r);
     }
     run.out_rows = next_rows.size();
-    for (const Row& r : next_rows) run.out_bytes += storage::RowByteSize(r);
     if (stages != nullptr) stages->push_back(run);
 
     cur_schema = std::move(out_schema);
-    owned = std::move(next_rows);
-    cur_rows = &owned;
+    rows = std::move(next_rows);
   }
 
   Table result("", cur_schema);
-  result.Reserve(owned.size());
-  for (Row& row : owned) {
+  for (Row& row : rows) {
     OPD_RETURN_NOT_OK(result.AppendRow(std::move(row)));
   }
   *output = std::move(result);

@@ -27,25 +27,21 @@ struct LfStageRun {
   double max_task_seconds = 0;  // slowest task of this stage's wave
 };
 
-/// How a local-function pipeline is parallelized. The defaults (null pool)
-/// run serially; the engine passes its pool and the DFS block size. Task
-/// granularity never changes results — stage outputs are merged in a
-/// deterministic order.
+/// How a local-function pipeline is parallelized. There is one schedule:
+/// each run of consecutive map stages (one or more) fuses into one wave of
+/// block-sized tasks, and each reduce stage runs a latch-scheduled shuffle
+/// (storage::PartitionBuffer + RunPipelinedShuffle). The defaults (null
+/// pool) run the tasks serially; the engine passes its pool and the DFS
+/// block size. Task granularity never changes results — stage outputs are
+/// merged in a deterministic order.
 struct UdfExecOptions {
   ThreadPool* pool = nullptr;     // null => run tasks inline
   uint64_t block_size_bytes = 64 * 1024;  // map split size (Dfs default)
   int num_reduce_tasks = 0;       // 0 => derived from stage input size
-  /// Morsel-driven pipelined stage execution: consecutive map stages fuse
-  /// into one row loop per split, and reduce-stage shuffles run latch
-  /// scheduled (storage::PartitionBuffer + RunPipelinedShuffle) instead of
-  /// partition-barrier-scatter-reduce. Off by default so standalone users
-  /// (cost-model calibration, scenario sampling) keep per-stage waves and
-  /// per-stage timings; the engine always turns it on. Results are
-  /// byte-identical.
-  bool pipelined = false;
-  /// Tracing hooks (see obs/trace.h): each local function opens a
-  /// "stage:<name>" span under `parent_span`, with per-wave phase spans
-  /// (and task spans when `trace_tasks`). Null trace = no overhead.
+  /// Tracing hooks (see obs/trace.h): each reduce stage and each fused map
+  /// group opens a "stage:<name>" span under `parent_span` (fused names are
+  /// joined with '+'), with phase spans (and task spans when
+  /// `trace_tasks`). Null trace = no overhead.
   obs::Trace* trace = nullptr;
   uint64_t parent_span = 0;
   bool trace_tasks = true;

@@ -10,26 +10,41 @@ namespace opd::optimizer {
 
 storage::Table SampleTable(const storage::Table& table, double fraction,
                            uint64_t seed) {
-  storage::Table sample(table.name() + "_sample", table.schema());
+  // One Bernoulli draw per row, in row order; the sampled rows are gathered
+  // batch by batch, so no row of the input is built.
   Rng rng(seed);
-  for (const auto& row : table.rows()) {
-    if (rng.Bernoulli(fraction)) {
-      (void)sample.AppendRow(row);
+  const auto batches = table.ToBatches();
+  std::vector<storage::RowBatch> sampled;
+  std::vector<uint32_t> sel;
+  for (const storage::RowBatch& b : *batches) {
+    sel.clear();
+    for (uint32_t r = 0; r < b.num_rows(); ++r) {
+      if (rng.Bernoulli(fraction)) sel.push_back(r);
+    }
+    if (!sel.empty()) sampled.push_back(b.Gather(sel));
+  }
+  // Guarantee a non-empty sample for tiny inputs: the first 16 rows.
+  if (sampled.empty()) {
+    size_t want = std::min<size_t>(table.num_rows(), 16);
+    for (size_t b = 0; want > 0; ++b) {
+      const size_t take = std::min<size_t>((*batches)[b].num_rows(), want);
+      if (take == 0) continue;
+      sel.resize(take);
+      for (uint32_t r = 0; r < take; ++r) sel[r] = r;
+      sampled.push_back((*batches)[b].Gather(sel));
+      want -= take;
     }
   }
-  // Guarantee a non-empty sample for tiny inputs.
-  if (sample.num_rows() == 0 && table.num_rows() > 0) {
-    size_t take = std::min<size_t>(table.num_rows(), 16);
-    for (size_t i = 0; i < take; ++i) (void)sample.AppendRow(table.row(i));
-  }
-  return sample;
+  return storage::Table::FromBatches(table.name() + "_sample", table.schema(),
+                                     std::move(sampled));
 }
 
 double MeasureBaselineThroughput(const storage::Table& table) {
+  const std::vector<storage::Row> rows = table.rows();
   auto start = std::chrono::steady_clock::now();
   uint64_t bytes = 0;
   // A trivial type-1 operation: copy rows and tally widths.
-  for (const auto& row : table.rows()) {
+  for (const auto& row : rows) {
     storage::Row copy = row;
     bytes += storage::RowByteSize(copy);
   }

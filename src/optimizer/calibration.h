@@ -21,7 +21,10 @@ struct CalibrationOptions {
   double max_scalar = 64.0;
 };
 
-/// Draws a uniform random sample of `fraction` of the rows.
+/// Draws a uniform random sample of `fraction` of the rows: one seeded
+/// Bernoulli draw per row in row order, or the first 16 rows when no draw
+/// hits. The sample's batches are gathered from the input's, so the input's
+/// rows are never built.
 storage::Table SampleTable(const storage::Table& table, double fraction,
                            uint64_t seed);
 
@@ -36,7 +39,8 @@ Status CalibrateUdf(udf::UdfDefinition* udf, const storage::Table& input,
                     const CalibrationOptions& options = {});
 
 /// Measures the baseline per-byte throughput (bytes/sec) of a trivial
-/// attribute-copying pass over `table` — the denominator for scalars.
+/// attribute-copying pass over `table` — the denominator for scalars. Only
+/// the copy loop is timed, not building the rows it copies.
 double MeasureBaselineThroughput(const storage::Table& table);
 
 }  // namespace opd::optimizer

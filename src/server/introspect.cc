@@ -121,9 +121,6 @@ std::string RenderServerStats(const ServerStats& stats,
   if (options.show_wall) {
     os << "  recycler: " << stats.recycle_hits << " hits, "
        << stats.recycle_misses << " misses\n";
-    os << "  tables: " << stats.rows_materialized
-       << " rows materialized (batch->row), " << stats.rows_batched
-       << " rows batched (row->batch)\n";
   }
   os << "  admission: " << stats.admission.admitted << " admitted, "
      << stats.admission.running << " running, " << stats.admission.waiting

@@ -55,11 +55,6 @@ struct ServerStats {
   uint64_t cross_tenant_reuse = 0;
   uint64_t recycle_hits = 0;
   uint64_t recycle_misses = 0;
-  /// Process-wide Table representation conversions: rows built from
-  /// batches (`storage.table.rows_materialized`) and batches built from
-  /// rows (`storage.table.rows_batched`).
-  uint64_t rows_materialized = 0;
-  uint64_t rows_batched = 0;
   catalog::Epoch epoch = 0;       ///< Current view-store publish epoch.
   size_t views_in_store = 0;
   AdmissionController::Stats admission;

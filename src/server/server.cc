@@ -91,13 +91,10 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
       ctx, optimizer::CostModel(options.cost), options.optimizer);
 
   // The serving path owns view publication: the engine hands each run's
-  // retained views back (defer_view_publish) and Run publishes them as one
-  // atomic batch at query completion.
-  exec::EngineOptions engine_opts = options.engine;
-  engine_opts.defer_view_publish = true;
+  // retained views back (ExecResult::pending_views) and Run publishes them
+  // as one atomic batch at query completion.
   server->engine_ = std::make_unique<exec::Engine>(
-      server->dfs_.get(), server->views_.get(), server->optimizer_.get(),
-      engine_opts);
+      server->dfs_.get(), server->optimizer_.get(), options.engine);
 
   optimizer::CostAccountant::Options acc_opts;
   acc_opts.publish_metrics = options.obs.metrics;
@@ -430,9 +427,6 @@ server::ServerStats Server::Introspect() {
   stats.cross_tenant_reuse = global.counter("server.views.cross_reuse").value();
   stats.recycle_hits = global.counter("server.recycle.hits").value();
   stats.recycle_misses = global.counter("server.recycle.misses").value();
-  stats.rows_materialized =
-      global.counter("storage.table.rows_materialized").value();
-  stats.rows_batched = global.counter("storage.table.rows_batched").value();
   stats.epoch = views_->epoch();
   stats.views_in_store = views_->size();
   stats.admission = admission_->stats();

@@ -12,7 +12,7 @@
 //   * View visibility is snapshot-consistent: at admission a query reads
 //     the store's publish epoch and rewrites only against
 //     SnapshotAt(admission_epoch); the views it materializes stay
-//     invisible (EngineOptions::defer_view_publish) until they publish as
+//     invisible (ExecResult::pending_views) until they publish as
 //     one atomic batch at completion — one epoch bump per query, so no
 //     query ever observes a half-published view, and a recorded schedule
 //     replays deterministically by pinning admission epochs.

@@ -313,6 +313,14 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
+void ColumnVector::ReadValue(size_t i, Value* out) const {
+  if (native_ && type_ == DataType::kString && !IsNull(i)) {
+    out->AssignString(dict_->entries[codes_[i]]);
+  } else {
+    *out = GetValue(i);
+  }
+}
+
 uint64_t ColumnVector::HashAt(size_t i) const {
   if (IsNull(i)) return kNullHash;
   if (!native_) return variant_[i].Hash();

@@ -6,12 +6,12 @@
 // DataType) cells live in flat native arrays — int64/double values are
 // stored directly, strings are interned into a per-column dictionary and
 // represented by 32-bit codes. Cell hashes and byte sizes are defined to be
-// *identical* to the row representation's `Value::Hash()` / `Value::
-// ByteSize()`, so shuffle bucketing, metrics, and determinism contracts are
-// unchanged whether a table flows through the row or the batch path.
+// *identical* to the cell's `Value::Hash()` / `Value::ByteSize()`, so
+// shuffle bucketing, metrics, and determinism contracts agree with the
+// `Row`s built from a column at the API edges.
 //
 // Dictionaries are shared, refcounted objects (`Dictionary`). All batches of
-// one table column built by `Table::ToBatches()` share a single table-wide
+// one table column built by `Table::AppendRow` share a single table-wide
 // dictionary, and gathering a subset of a string column (filter selections,
 // join output assembly) shares the source dictionary instead of re-interning
 // the surviving strings — string data stays dictionary-encoded *across*
@@ -80,7 +80,7 @@ class ColumnVector {
 
   /// Creates a string column that appends into `dict` without copy-on-write.
   /// For serial builders that intentionally grow one dictionary across many
-  /// columns (Table::ToBatches building a table-wide dictionary); the caller
+  /// columns (Table::AppendRow building a table-wide dictionary); the caller
   /// must guarantee no other thread reads `dict` while building.
   static ColumnVector StringWithSharedDict(DictionaryPtr dict);
 
@@ -118,6 +118,10 @@ class ColumnVector {
   /// Reconstructs the cell as a row Value — exact round-trip of what was
   /// appended (bit-identical doubles, byte-identical strings).
   Value GetValue(size_t i) const;
+
+  /// Same as `*out = GetValue(i)`, but reuses the string storage `*out`
+  /// already holds.
+  void ReadValue(size_t i, Value* out) const;
 
   /// Hash of cell `i`, equal to `GetValue(i).Hash()`. String hashes are
   /// computed once per distinct dictionary entry.

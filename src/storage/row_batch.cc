@@ -33,9 +33,15 @@ RowBatch RowBatch::FromRows(const Schema& schema, const std::vector<Row>& rows,
 
 Row RowBatch::RowAt(size_t i) const {
   Row row;
-  row.reserve(columns_.size());
-  for (const ColumnVectorPtr& col : columns_) row.push_back(col->GetValue(i));
+  ReadRow(i, &row);
   return row;
+}
+
+void RowBatch::ReadRow(size_t i, Row* out) const {
+  out->resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c]->ReadValue(i, &(*out)[c]);
+  }
 }
 
 uint64_t RowBatch::HashRowAt(size_t i) const {

@@ -21,9 +21,9 @@ class Table;
 /// \brief A fixed-row-count group of columns.
 class RowBatch {
  public:
-  /// Rows per batch produced by `Table::ToBatches()`. Small enough that a
-  /// batch's working set stays cache-resident, large enough to amortize
-  /// per-batch dispatch.
+  /// Rows per batch of a table built with `Table::AppendRow`. Small enough
+  /// that a batch's working set stays cache-resident, large enough to
+  /// amortize per-batch dispatch.
   static constexpr size_t kDefaultRows = 1024;
 
   RowBatch() = default;
@@ -34,7 +34,7 @@ class RowBatch {
   /// When `shared_dicts` is given (one slot per schema column, non-null for
   /// string columns), string columns intern into those dictionaries in
   /// place, so every batch of one table shares one dictionary per column.
-  /// Caller must build batches serially (Table::ToBatches holds a mutex).
+  /// Batches sharing dictionaries must be built serially.
   static RowBatch FromRows(const Schema& schema, const std::vector<Row>& rows,
                            size_t begin, size_t end,
                            const std::vector<DictionaryPtr>* shared_dicts =
@@ -47,6 +47,10 @@ class RowBatch {
 
   /// Reconstructs row `i` — the exact cells that were appended.
   Row RowAt(size_t i) const;
+
+  /// Overwrites `*out` with row `i`, reusing the storage of its cells (a
+  /// scratch row refilled for every row of a scan).
+  void ReadRow(size_t i, Row* out) const;
 
   /// Hash of the full row at `i`, equal to `RowHash()(RowAt(i))`.
   uint64_t HashRowAt(size_t i) const;
@@ -70,6 +74,8 @@ class RowBatch {
   size_t ByteSize() const;
 
  private:
+  friend class Table;  // appends into its open tail batch in place
+
   std::vector<ColumnVectorPtr> columns_;
   size_t num_rows_ = 0;
 };

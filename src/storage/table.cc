@@ -2,140 +2,125 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
-
 namespace opd::storage {
+
+Table::Table(std::string name, Schema schema)
+    : name_(std::move(name)), schema_(std::move(schema)) {
+  OpenTail(/*fresh_dicts=*/true);
+}
 
 Table Table::FromBatches(std::string name, Schema schema,
                          std::vector<RowBatch> batches) {
-  Table t(std::move(name), std::move(schema));
-  t.batch_primary_ = true;
-  t.rows_ready_ = false;
-  t.batch_offsets_.reserve(batches.size());
+  Table t;
+  t.name_ = std::move(name);
+  t.schema_ = std::move(schema);
+  t.batch_offsets_.clear();
   for (const RowBatch& b : batches) {
-    t.batch_offsets_.push_back(t.batch_num_rows_);
-    t.batch_num_rows_ += b.num_rows();
+    t.batch_offsets_.push_back(t.num_rows_);
+    t.num_rows_ += b.num_rows();
+    t.bytes_ += b.ByteSize();
   }
-  t.batches_ =
-      std::make_shared<const std::vector<RowBatch>>(std::move(batches));
+  t.batches_ = std::make_shared<std::vector<RowBatch>>(std::move(batches));
+  t.tail_open_ = false;
+  t.dicts_.clear();
   return t;
 }
 
-const std::vector<Row>& Table::rows() const {
-  if (batch_primary_) return MaterializedRows();
-  return rows_;
-}
-
-const std::vector<Row>& Table::MaterializedRows() const {
-  std::lock_guard<std::mutex> lock(*lazy_mu_);
-  if (rows_ready_) return rows_;
-  static obs::Counter& materialized =
-      obs::MetricRegistry::Global().counter("storage.table.rows_materialized");
-  std::vector<Row> rows;
-  rows.reserve(batch_num_rows_);
-  for (const RowBatch& b : *batches_) {
-    for (size_t r = 0; r < b.num_rows(); ++r) rows.push_back(b.RowAt(r));
-  }
-  materialized.Inc(rows.size());
-  rows_ = std::move(rows);
-  rows_ready_ = true;
-  return rows_;
-}
-
-std::shared_ptr<const std::vector<RowBatch>> Table::ToBatches() const {
-  if (batch_primary_) return batches_;
-  std::lock_guard<std::mutex> lock(*lazy_mu_);
-  if (batches_ != nullptr && batch_cache_rows_ == rows_.size()) {
-    return batches_;
-  }
-  static obs::Counter& batched =
-      obs::MetricRegistry::Global().counter("storage.table.rows_batched");
-  // One table-wide dictionary per string column: every batch of the column
-  // interns into (and shares) the same dictionary, so codes are comparable
-  // across batches and downstream gathers stay dictionary-encoded.
-  std::vector<DictionaryPtr> shared_dicts(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    if (schema_.columns()[c].type == DataType::kString) {
-      shared_dicts[c] = std::make_shared<Dictionary>();
+void Table::OpenTail(bool fresh_dicts) {
+  const size_t n = schema_.num_columns();
+  if (fresh_dicts) {
+    dicts_.assign(n, nullptr);
+    for (size_t c = 0; c < n; ++c) {
+      if (schema_.column(c).type == DataType::kString) {
+        dicts_[c] = std::make_shared<Dictionary>();
+      }
     }
   }
-  std::vector<RowBatch> batches;
-  batches.reserve(rows_.size() / RowBatch::kDefaultRows + 1);
-  if (rows_.empty()) {
-    batches.push_back(RowBatch::FromRows(schema_, rows_, 0, 0, &shared_dicts));
-  } else {
-    for (size_t begin = 0; begin < rows_.size();
-         begin += RowBatch::kDefaultRows) {
-      batches.push_back(RowBatch::FromRows(
-          schema_, rows_, begin,
-          std::min(begin + RowBatch::kDefaultRows, rows_.size()),
-          &shared_dicts));
-    }
+  std::vector<ColumnVectorPtr> columns;
+  columns.reserve(n);
+  for (size_t c = 0; c < n; ++c) {
+    columns.push_back(
+        dicts_[c] != nullptr
+            ? std::make_shared<ColumnVector>(
+                  ColumnVector::StringWithSharedDict(dicts_[c]))
+            : std::make_shared<ColumnVector>(schema_.column(c).type));
   }
-  batched.Inc(rows_.size());
-  batches_ =
-      std::make_shared<const std::vector<RowBatch>>(std::move(batches));
-  batch_cache_rows_ = rows_.size();
-  return batches_;
+  // Copy-on-write: a batch vector that a copy or a snapshot holds is never
+  // grown in place.
+  if (batches_ == nullptr) {
+    batches_ = std::make_shared<std::vector<RowBatch>>();
+  } else if (batches_.use_count() > 1) {
+    batches_ = std::make_shared<std::vector<RowBatch>>(*batches_);
+  }
+  // An empty last batch is replaced rather than kept.
+  if (!batches_->empty() && batches_->back().num_rows() == 0) {
+    batches_->pop_back();
+    batch_offsets_.pop_back();
+  }
+  batch_offsets_.push_back(num_rows_);
+  batches_->emplace_back(std::move(columns), 0);
+  tail_open_ = true;
 }
 
 Status Table::AppendRow(Row row) {
-  if (batch_primary_) {
-    return Status::InvalidArgument(
-        "AppendRow on batch-primary table " + name_ +
-        " (batch tables are sealed at construction)");
-  }
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " != schema arity " +
         std::to_string(schema_.num_columns()) + " for table " + name_);
   }
-  rows_.push_back(std::move(row));
+  // A tail that a copy of this table or a ToBatches() snapshot can see is
+  // sealed as it is, and the next tail interns into fresh dictionaries.
+  bool shared = batches_.use_count() > 1;
+  if (tail_open_) {
+    for (const ColumnVectorPtr& col : batches_->back().columns_) {
+      shared = shared || col.use_count() > 1;
+    }
+  }
+  if (!tail_open_ || shared ||
+      batches_->back().num_rows() == RowBatch::kDefaultRows) {
+    OpenTail(/*fresh_dicts=*/!tail_open_ || shared);
+  }
+  RowBatch& tail = batches_->back();
+  for (size_t c = 0; c < row.size(); ++c) tail.columns_[c]->Append(row[c]);
+  ++tail.num_rows_;
+  ++num_rows_;
+  bytes_ += RowByteSize(row);
   return Status::OK();
 }
 
-size_t Table::ByteSize() const {
-  if (batch_primary_) {
-    std::lock_guard<std::mutex> lock(*lazy_mu_);
-    if (!bytes_ready_) {
-      size_t total = 0;
-      for (const RowBatch& b : *batches_) total += b.ByteSize();
-      cached_bytes_ = total;
-      bytes_ready_ = true;
-    }
-    return cached_bytes_;
+size_t Table::BatchOf(size_t i) const {
+  // The last batch starting at or before row i (offsets are ascending).
+  auto it = std::upper_bound(batch_offsets_.begin(), batch_offsets_.end(), i);
+  return static_cast<size_t>(it - batch_offsets_.begin()) - 1;
+}
+
+Row Table::row(size_t i) const {
+  const size_t b = BatchOf(i);
+  return (*batches_)[b].RowAt(i - batch_offsets_[b]);
+}
+
+std::vector<Row> Table::rows() const {
+  std::vector<Row> rows;
+  rows.reserve(num_rows_);
+  for (const RowBatch& b : *batches_) {
+    for (size_t r = 0; r < b.num_rows(); ++r) rows.push_back(b.RowAt(r));
   }
-  // An empty table returns without touching the cache, so concurrent
-  // readers of a sealed table never write it.
-  if (rows_.empty()) return 0;
-  if (cached_bytes_rows_ == rows_.size()) return cached_bytes_;
-  size_t total = 0;
-  for (const Row& r : rows_) total += RowByteSize(r);
-  cached_bytes_ = total;
-  cached_bytes_rows_ = rows_.size();
-  return total;
+  return rows;
 }
 
 double Table::AvgRowBytes() const {
-  const size_t n = num_rows();
-  if (n == 0) return 0.0;
-  return static_cast<double>(ByteSize()) / static_cast<double>(n);
+  if (num_rows_ == 0) return 0.0;
+  return static_cast<double>(bytes_) / static_cast<double>(num_rows_);
 }
 
 Result<Value> Table::Get(size_t row_idx, const std::string& column) const {
-  if (row_idx >= num_rows()) {
+  if (row_idx >= num_rows_) {
     return Status::OutOfRange("row index out of range");
   }
   auto idx = schema_.IndexOf(column);
   if (!idx) return Status::NotFound("no such column: " + column);
-  if (batch_primary_) {
-    // Locate the batch covering row_idx (offsets are ascending).
-    auto it = std::upper_bound(batch_offsets_.begin(), batch_offsets_.end(),
-                               row_idx);
-    const size_t b = static_cast<size_t>(it - batch_offsets_.begin()) - 1;
-    return (*batches_)[b].column(*idx).GetValue(row_idx - batch_offsets_[b]);
-  }
-  return rows_[row_idx][*idx];
+  const size_t b = BatchOf(row_idx);
+  return (*batches_)[b].column(*idx).GetValue(row_idx - batch_offsets_[b]);
 }
 
 std::vector<RowRange> SplitRowsByBlockSize(size_t num_rows,

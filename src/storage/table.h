@@ -1,21 +1,29 @@
-// In-memory table: schema plus rows. The unit of data the MR simulator
-// reads, shuffles, and materializes.
+// In-memory table: schema plus a columnar payload. The unit of data the MR
+// simulator reads, shuffles, and materializes.
 //
-// A table holds its payload in one of two equivalent representations:
-//  - row-primary: a vector of `Row`s (AppendRow builders, CSV loads), with
-//    a lazily built, cached columnar form available via `ToBatches()`;
-//  - batch-primary: a vector of `RowBatch`es (outputs of the vectorized
-//    engine kernels, built with `FromBatches()`), with rows materialized
-//    lazily on first `rows()` access.
-// Both directions reconstruct cells exactly, so every consumer of the
-// row API sees byte-identical data regardless of which path produced the
-// table.
+// The payload is a vector of `RowBatch`es and nothing else. `AppendRow`
+// appends into an open tail batch of `RowBatch::kDefaultRows` rows whose
+// string columns intern into one table-wide dictionary per column, so every
+// batch of an AppendRow-built column shares one dictionary; `FromBatches`
+// adopts batches built by the engine kernels. `ToBatches()` hands out the
+// stored batches; `rows()` and `row(i)` build `Row`s from them on each call
+// and exist for the API edges (CSV, examples, tests).
+//
+// A Table is a value type. Copies share the batches; appending to a table
+// whose tail batch (or batch vector) is shared with a copy or with a
+// `ToBatches()` snapshot first seals that batch and starts a new one with
+// fresh dictionaries, so neither the other table nor the snapshot ever
+// changes, and no shared column interns into a dictionary another table
+// reads. Const methods only read, so a table that is no longer appended to
+// may be read from any number of threads. Columns gathered from a table's
+// batches may share its dictionaries: appending only adds entries, so their
+// cells never change, but they must not be read while the table they came
+// from is appended to.
 
 #ifndef OPD_STORAGE_TABLE_H_
 #define OPD_STORAGE_TABLE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,18 +34,16 @@
 
 namespace opd::storage {
 
-/// \brief A named, schema-ful collection of rows.
+/// \brief A named, schema-ful collection of rows, stored column-wise.
 ///
 /// Tables are immutable once handed to the Dfs; producers build them with
 /// AppendRow (or FromBatches) and then store them.
 class Table {
  public:
-  Table() = default;
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  Table() : Table("", Schema()) {}
+  Table(std::string name, Schema schema);
 
-  /// Builds a batch-primary table: `batches` is the payload, rows are
-  /// materialized only if a consumer asks for the row API.
+  /// Builds a table whose payload is `batches`.
   static Table FromBatches(std::string name, Schema schema,
                            std::vector<RowBatch> batches);
 
@@ -45,64 +51,50 @@ class Table {
   void set_name(std::string name) { name_ = std::move(name); }
   const Schema& schema() const { return schema_; }
 
-  size_t num_rows() const {
-    return batch_primary_ ? batch_num_rows_ : rows_.size();
+  size_t num_rows() const { return num_rows_; }
+
+  /// Row `i`, built from its batch.
+  Row row(size_t i) const;
+
+  /// Every row in table order, built from the batches on each call.
+  std::vector<Row> rows() const;
+
+  /// The stored batches (zero cost). The snapshot never changes, also when
+  /// the table is appended to afterwards.
+  std::shared_ptr<const std::vector<RowBatch>> ToBatches() const {
+    return batches_;
   }
-  const Row& row(size_t i) const { return rows()[i]; }
 
-  /// Row payload; materialized (once, thread-safely) from the columnar
-  /// payload for batch-primary tables, then cached on the table for its
-  /// lifetime (counted by `storage.table.rows_materialized`). The default
-  /// serving path never calls this on a batch-primary table: the UDF
-  /// boundary builds a private row copy instead (DESIGN.md §2d).
-  const std::vector<Row>& rows() const;
-
-  /// True when the table's primary payload is columnar.
-  bool columnar() const { return batch_primary_; }
-
-  /// Columnar payload: the stored batches for batch-primary tables (zero
-  /// cost), or a lazily built, cached batching of the rows (batches of
-  /// `RowBatch::kDefaultRows`) for row-primary tables (rows converted are
-  /// counted by `storage.table.rows_batched`).
-  std::shared_ptr<const std::vector<RowBatch>> ToBatches() const;
-
-  /// Appends a row; fails if the arity does not match the schema or the
-  /// table is batch-primary (batch tables are sealed at construction).
+  /// Appends a row; fails if the arity does not match the schema.
   Status AppendRow(Row row);
 
-  /// Pre-allocates capacity for `n` rows (builders on hot paths).
-  void Reserve(size_t n) { rows_.reserve(n); }
-
-  /// Total approximate serialized size of all rows, in bytes. Computed
-  /// column-wise for batch-primary tables — same value by construction.
-  size_t ByteSize() const;
+  /// Total approximate serialized size of all rows, in bytes.
+  size_t ByteSize() const { return bytes_; }
 
   /// Average row width in bytes (0 when empty).
   double AvgRowBytes() const;
 
   /// Cell accessor by column name; fails on missing column or row index.
-  /// Batch-primary tables answer from columns without materializing rows.
   Result<Value> Get(size_t row_idx, const std::string& column) const;
 
  private:
-  const std::vector<Row>& MaterializedRows() const;
+  /// Index of the batch holding row `i` (i < num_rows()).
+  size_t BatchOf(size_t i) const;
+  /// Starts a new tail batch; `fresh_dicts` replaces the dictionaries the
+  /// tail's string columns intern into.
+  void OpenTail(bool fresh_dicts);
 
   std::string name_;
   Schema schema_;
-  mutable std::vector<Row> rows_;
-  mutable size_t cached_bytes_ = 0;
-  mutable size_t cached_bytes_rows_ = 0;  // row count the cache was taken at
-
-  // Columnar payload (primary or cache) and its bookkeeping.
-  mutable std::shared_ptr<const std::vector<RowBatch>> batches_;
-  mutable size_t batch_cache_rows_ = 0;  // row count batches_ was built at
-  std::vector<size_t> batch_offsets_;    // start row of each batch
-  size_t batch_num_rows_ = 0;
-  bool batch_primary_ = false;
-  mutable bool rows_ready_ = true;  // false until a batch table materializes
-  mutable bool bytes_ready_ = false;
-  // Guards lazy row<->batch conversion; shared so Table stays movable.
-  std::shared_ptr<std::mutex> lazy_mu_ = std::make_shared<std::mutex>();
+  std::shared_ptr<std::vector<RowBatch>> batches_;
+  std::vector<size_t> batch_offsets_;  // start row of each batch
+  size_t num_rows_ = 0;
+  size_t bytes_ = 0;
+  // True when the last batch is this table's AppendRow tail, whose string
+  // columns intern into `dicts_` (one per schema column, null for
+  // non-string columns).
+  bool tail_open_ = false;
+  std::vector<DictionaryPtr> dicts_;
 };
 
 using TablePtr = std::shared_ptr<const Table>;

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "catalog/eviction.h"
+#include "execute_and_publish.h"
 #include "rewrite/advisor.h"
 #include "udf/builtin_udfs.h"
 #include "storage/persistence.h"
@@ -200,11 +201,11 @@ TEST(FailureInjectionTest, EngineSurfacesDfsCapacityExhaustion) {
   catalog::ViewStore views;
   plan::AnnotationContext ctx{&cat, &views, &udfs};
   optimizer::Optimizer optimizer(ctx, optimizer::CostModel());
-  exec::Engine engine(&dfs, &views, &optimizer);
+  exec::Engine engine(&dfs, &optimizer);
 
   plan::Plan p(plan::Project(plan::Scan("TWTR"),
                              {"tweet_id", "user_id", "tweet_text"}));
-  auto result = engine.Execute(&p);
+  auto result = testing_util::ExecuteAndPublish(&engine, &views, &p);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }

@@ -5,6 +5,7 @@
 
 #include "catalog/catalog.h"
 #include "exec/engine.h"
+#include "execute_and_publish.h"
 #include "plan/job.h"
 #include "rewrite/candidate.h"
 #include "storage/dfs.h"
@@ -36,8 +37,7 @@ class CandidateTest : public ::testing::Test {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
-                                             optimizer_.get());
+    engine_ = std::make_unique<exec::Engine>(&dfs_, optimizer_.get());
   }
 
   plan::Plan WineJoinQuery() {
@@ -117,7 +117,7 @@ TEST_F(CandidateTest, IsRelevantFiltersForeignViews) {
 
 TEST_F(CandidateTest, BuildCandidateScanSingleView) {
   plan::Plan q = WineJoinQuery();
-  auto run = engine_->Execute(&q);
+  auto run = testing_util::ExecuteAndPublish(engine_.get(), &views_, &q);
   ASSERT_TRUE(run.ok());
   ASSERT_GT(views_.size(), 0u);
   const auto* def = views_.All()[0];
@@ -129,7 +129,7 @@ TEST_F(CandidateTest, BuildCandidateScanSingleView) {
 
 TEST_F(CandidateTest, BuildCandidateScanRejectsUnjoinableParts) {
   plan::Plan q = WineJoinQuery();
-  ASSERT_TRUE(engine_->Execute(&q).ok());
+  ASSERT_TRUE(testing_util::ExecuteAndPublish(engine_.get(), &views_, &q).ok());
   // Find two views that share no attributes; force them into one candidate.
   const catalog::ViewDefinition* a = nullptr;
   const catalog::ViewDefinition* b = nullptr;

@@ -119,22 +119,26 @@ TEST(RowBatchTest, MaterializeToBatchesIdentityAllTypes) {
   EXPECT_EQ(back.ByteSize(), t.ByteSize());
 }
 
-TEST(RowBatchTest, BatchPrimaryTableMaterializesLazily) {
+TEST(RowBatchTest, FromBatchesTableAdoptsBatches) {
   Table t("five", FiveTypeSchema());
   for (const Row& r : FiveTypeRows()) ASSERT_TRUE(t.AppendRow(r).ok());
   auto batches = t.ToBatches();
 
   Table from = Table::FromBatches("copy", t.schema(), *batches);
-  EXPECT_TRUE(from.columnar());
   EXPECT_EQ(from.num_rows(), t.num_rows());
   EXPECT_EQ(from.ByteSize(), t.ByteSize());
-  // Get() answers from columns; rows() materializes the same cells.
+  // Get() answers from columns; rows() builds the same cells.
   auto cell = from.Get(1, "s");
   ASSERT_TRUE(cell.ok());
   EXPECT_EQ(cell.value(), Value("beta"));
   EXPECT_EQ(from.rows(), t.rows());
-  // A batch-primary table is sealed.
-  EXPECT_FALSE(from.AppendRow(FiveTypeRows()[0]).ok());
+  // Appending starts a new batch; the adopted batches stay as they were.
+  ASSERT_TRUE(from.AppendRow(FiveTypeRows()[0]).ok());
+  EXPECT_EQ(from.ToBatches()->size(), 2u);
+  EXPECT_EQ(from.row(t.num_rows()), FiveTypeRows()[0]);
+  EXPECT_EQ(t.rows(), FiveTypeRows());
+  EXPECT_EQ(batches->size(), 1u);
+  EXPECT_EQ((*batches)[0].num_rows(), t.num_rows());
 }
 
 TEST(RowBatchTest, HashEquivalenceWithRowHash) {

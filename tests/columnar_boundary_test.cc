@@ -1,15 +1,16 @@
-// The columnar/row boundary: view statistics are sampled column-wise and UDF
-// inputs are converted privately, so a batch-primary table never grows a
-// cached row copy. Each suite checks one side against a row-based oracle:
-//  - StatsIdentity: StatsCollector / ComputeExactStats on row- and
-//    batch-primary twins equal the pre-columnar std::set-over-rows sampler;
+// The columnar/row boundary: view statistics are sampled column-wise from
+// batches, and UDF map tasks read batch cells into scratch rows and build
+// their output batches per task. Each suite checks one side against a
+// row-based oracle, over tables built with AppendRow and with FromBatches
+// in several batch layouts:
+//  - StatsIdentity: StatsCollector / ComputeExactStats equal the
+//    pre-columnar std::set-over-rows sampler;
 //  - UdfBatchBoundary: map-only, fused-map and leading-reduce UDFs emit the
-//    same rows from a batch-primary input as from its row-primary twin;
-//  - ServingNoRowCache: the 32-query workload through opd::Server
-//    materializes no rows and publishes oracle-identical view stats;
-//  - OpaqueFilterBoundary: an opaque predicate over a batch-primary input
-//    reads batch cells, keeps its output batch-primary, materializes no
-//    rows, and matches the reference interpreter.
+//    reference interpreter's rows, identically for every batch layout;
+//  - ServingNoRowCache: the 32-query workload through opd::Server publishes
+//    oracle-identical view stats;
+//  - OpaqueFilterBoundary: an opaque predicate reads batch cells and
+//    matches the reference interpreter.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +26,8 @@
 #include "common/thread_pool.h"
 #include "exec/stats_collector.h"
 #include "exec/udf_exec.h"
-#include "obs/metrics.h"
-#include "obs/snapshot.h"
 #include "oql/printer.h"
 #include "reference_exec.h"
-#include "server/introspect.h"
 #include "server/server.h"
 #include "storage/row_batch.h"
 #include "storage/table.h"
@@ -46,23 +44,6 @@ using storage::RowBatch;
 using storage::Schema;
 using storage::Table;
 using storage::Value;
-
-uint64_t RowsMaterialized() {
-  return obs::MetricRegistry::Global()
-      .counter("storage.table.rows_materialized")
-      .value();
-}
-
-// The rows of `t`, built privately: never through Table::rows() on a
-// batch-primary table, which would cache them (and count).
-std::vector<Row> RowsOf(const Table& t) {
-  if (!t.columnar()) return t.rows();
-  std::vector<Row> rows;
-  for (const RowBatch& b : *t.ToBatches()) {
-    for (size_t r = 0; r < b.num_rows(); ++r) rows.push_back(b.RowAt(r));
-  }
-  return rows;
-}
 
 // The pre-columnar StatsCollector::Collect, kept as the oracle: a seeded
 // Bernoulli sample of row pointers, one std::set of cell hashes per column.
@@ -115,7 +96,7 @@ void ExpectSameTable(const Table& got, const Table& want) {
     EXPECT_EQ(got.schema().column(c).name, want.schema().column(c).name);
     EXPECT_EQ(got.schema().column(c).type, want.schema().column(c).type);
   }
-  const std::vector<Row> a = RowsOf(got), b = RowsOf(want);
+  const std::vector<Row> a = got.rows(), b = want.rows();
   ASSERT_EQ(a.size(), b.size());
   for (size_t r = 0; r < a.size(); ++r) {
     ASSERT_EQ(a[r].size(), b[r].size());
@@ -134,8 +115,9 @@ Schema MixedSchema() {
                  Column{"mixed", DataType::kInt64}});
 }
 
-// Nulls in every column; `mixed` is declared int64 but holds strings too,
-// which demotes its batch columns to the variant lane.
+// Built with AppendRow. Nulls in every column; `mixed` is declared int64
+// but holds strings too, which demotes its batch columns to the variant
+// lane.
 Table MixedRowTable(size_t n) {
   Table t("mixed", MixedSchema());
   for (size_t i = 0; i < n; ++i) {
@@ -155,21 +137,21 @@ Table MixedRowTable(size_t n) {
   return t;
 }
 
-// A batch-primary twin with a table-wide shared dictionary per string
-// column (the row table's own ToBatches() payload).
+// A FromBatches twin with a table-wide shared dictionary per string column
+// (the AppendRow table's own batches).
 Table SharedDictTwin(const Table& rows) {
   return Table::FromBatches("shared", rows.schema(), *rows.ToBatches());
 }
 
-// A batch-primary twin with per-batch dictionaries, `batch_rows` rows per
+// A FromBatches twin with per-batch dictionaries, `batch_rows` rows per
 // batch, and an empty first batch.
 Table SmallBatchTwin(const Table& rows, size_t batch_rows) {
+  const std::vector<Row> all = rows.rows();
   std::vector<RowBatch> batches;
-  batches.push_back(RowBatch::FromRows(rows.schema(), rows.rows(), 0, 0));
-  for (size_t b = 0; b < rows.num_rows(); b += batch_rows) {
+  batches.push_back(RowBatch::FromRows(rows.schema(), all, 0, 0));
+  for (size_t b = 0; b < all.size(); b += batch_rows) {
     batches.push_back(RowBatch::FromRows(
-        rows.schema(), rows.rows(), b,
-        std::min(b + batch_rows, rows.num_rows())));
+        rows.schema(), all, b, std::min(b + batch_rows, all.size())));
   }
   return Table::FromBatches("small", rows.schema(), std::move(batches));
 }
@@ -190,10 +172,7 @@ TEST(StatsIdentity, SampledStatsMatchRowOracleOnEveryRepresentation) {
           ReferenceStats(rows.rows(), rows.schema(), fraction, 42);
       ExpectStatsEq(collector.Collect(rows), want);
       for (const Table& twin : twins) {
-        ASSERT_TRUE(twin.columnar());
-        const uint64_t before = RowsMaterialized();
         ExpectStatsEq(collector.Collect(twin), want);
-        EXPECT_EQ(RowsMaterialized() - before, 0u);
       }
     }
   }
@@ -231,10 +210,8 @@ TEST(StatsIdentity, EmptySampleFallsBackToFirstRow) {
   // One sampled row: every column sketches exactly one value, scaled up.
   EXPECT_EQ(want.distinct.at("id"), static_cast<double>(kRows));
   ExpectStatsEq(collector.Collect(rows), want);
-  const uint64_t before = RowsMaterialized();
   ExpectStatsEq(collector.Collect(SmallBatchTwin(rows, 3)), want);
   ExpectStatsEq(collector.Collect(SharedDictTwin(rows)), want);
-  EXPECT_EQ(RowsMaterialized() - before, 0u);
 }
 
 TEST(StatsIdentity, ZeroRowTables) {
@@ -257,10 +234,8 @@ TEST(StatsIdentity, ExactStatsMatchAcrossRepresentations) {
       // Sampling every row with no scale-up is the exact scan.
       ExpectStatsEq(want, ReferenceStats(rows.rows(), rows.schema(), 1.0, 0));
     }
-    const uint64_t before = RowsMaterialized();
     ExpectStatsEq(catalog::ComputeExactStats(SharedDictTwin(rows)), want);
     ExpectStatsEq(catalog::ComputeExactStats(SmallBatchTwin(rows, 7)), want);
-    EXPECT_EQ(RowsMaterialized() - before, 0u);
   }
 }
 
@@ -328,29 +303,31 @@ udf::LocalFunction CountByNameReduce() {
   return lf;
 }
 
-// Runs `def` on the row table and on both batch twins (phased and
-// pipelined, on a pool, with small map splits); every output must equal
-// the row-primary run's, and no batch input may materialize rows.
+// Runs `def` serially and on a pool with small map splits, over the
+// AppendRow table and both FromBatches twins: every output must hold the
+// reference interpreter's rows, and the twins' outputs must equal the
+// AppendRow input's cell for cell, in order.
 void ExpectBoundaryIdentity(const udf::UdfDefinition& def) {
   const Table rows = MixedRowTable(2500);
+  auto reference_rows = reference::EvaluateUdf(def, rows, {});
+  ASSERT_TRUE(reference_rows.ok()) << reference_rows.status().ToString();
+  ASSERT_FALSE(reference_rows->empty());
   ThreadPool pool(4);
-  for (bool pipelined : {false, true}) {
-    SCOPED_TRACE(pipelined ? "pipelined" : "phased");
+  for (bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "pool of 4, small splits" : "serial");
     exec::UdfExecOptions opts;
-    opts.pool = &pool;
-    opts.pipelined = pipelined;
-    opts.block_size_bytes = 4096;
+    if (pooled) {
+      opts.pool = &pool;
+      opts.block_size_bytes = 4096;
+    }
     Table want;
     ASSERT_TRUE(
         exec::RunLocalFunctions(def, rows, {}, &want, nullptr, opts).ok());
-    ASSERT_GT(want.num_rows(), 0u);
+    EXPECT_TRUE(reference::SameRows(*reference_rows, want.rows()));
     for (const Table& twin : {SharedDictTwin(rows), SmallBatchTwin(rows, 7)}) {
-      ASSERT_TRUE(twin.columnar());
-      const uint64_t before = RowsMaterialized();
       Table got;
       ASSERT_TRUE(
           exec::RunLocalFunctions(def, twin, {}, &got, nullptr, opts).ok());
-      EXPECT_EQ(RowsMaterialized() - before, 0u);
       ExpectSameTable(got, want);
     }
   }
@@ -443,7 +420,7 @@ class ServingNoRowCache : public ::testing::Test {
       auto table = bed_->dfs().Read(def->dfs_path);
       ASSERT_TRUE(table.ok()) << table.status().ToString();
       ExpectStatsEq(def->stats,
-                    ReferenceStats(RowsOf(**table), (*table)->schema(),
+                    ReferenceStats((*table)->rows(), (*table)->schema(),
                                    engine.stats_sample_fraction,
                                    engine.stats_seed));
     }
@@ -453,37 +430,20 @@ class ServingNoRowCache : public ::testing::Test {
 };
 
 TEST_F(ServingNoRowCache, OrigMaterializesNoRowsAndPublishesOracleStats) {
-  const uint64_t before = RowsMaterialized();
   EXPECT_EQ(RunWorkload(/*rewrite=*/false), 0u);
-  EXPECT_EQ(RowsMaterialized() - before, 0u);
   ExpectPublishedStatsMatchOracle();
-
-  // Both conversion counters reach the metrics snapshot and SHOW SERVER
-  // STATS; UDF outputs are row-primary, so their consumers batch them.
-  const obs::MetricsSnapshot snap =
-      obs::MetricsSnapshot::Capture(obs::MetricRegistry::Global());
-  EXPECT_GT(snap.counters.at("storage.table.rows_batched"), 0u);
-  EXPECT_EQ(snap.counters.count("storage.table.rows_materialized"), 1u);
-  const server::ServerStats stats = bed_->session().server().Introspect();
-  EXPECT_EQ(stats.rows_batched,
-            snap.counters.at("storage.table.rows_batched"));
-  EXPECT_NE(server::RenderServerStats(stats).find(
-                "rows materialized (batch->row)"),
-            std::string::npos);
 }
 
 TEST_F(ServingNoRowCache, EvolveMaterializesNoRowsAndPublishesOracleStats) {
   bed_->DropAllViews();
-  const uint64_t before = RowsMaterialized();
-  // Rewritten plans scan batch-primary views, some feeding UDFs.
+  // Rewritten plans scan views, some feeding UDFs.
   EXPECT_GT(RunWorkload(/*rewrite=*/true), 0u);
-  EXPECT_EQ(RowsMaterialized() - before, 0u);
   ExpectPublishedStatsMatchOracle();
 }
 
-// The project job's output is batch-primary, so the opaque filter after it
-// sees a columnar input: it must evaluate the predicate on batch cells and
-// gather survivors, never caching a row copy on the shared table.
+// The project job's output shares its input's columns, and the opaque
+// filter after it evaluates the predicate on batch cells and gathers
+// survivors.
 TEST(OpaqueFilterBoundary, BatchPrimaryInputStaysColumnarAndMatchesReference) {
   SessionOptions options;
   options.engine.num_threads = 4;
@@ -516,18 +476,15 @@ TEST(OpaqueFilterBoundary, BatchPrimaryInputStaysColumnarAndMatchesReference) {
   const std::string oql = "q = scan OPQ | project id, name | filter keep_row(id, name);";
   RunOptions no_rewrite;
   no_rewrite.rewrite = false;
-  const uint64_t before = RowsMaterialized();
   auto run = (*session)->Run(oql, no_rewrite);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(RowsMaterialized() - before, 0u);
   ASSERT_EQ(run->jobs.size(), 2u);
-  EXPECT_TRUE(run->table->columnar());
   EXPECT_GT(run->table->num_rows(), 0u);
   EXPECT_LT(run->table->num_rows(), 3000u);
 
   auto want = reference::EvaluateOql(**session, oql);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
-  EXPECT_TRUE(reference::SameRows(*want, RowsOf(*run->table)));
+  EXPECT_TRUE(reference::SameRows(*want, run->table->rows()));
 }
 
 }  // namespace

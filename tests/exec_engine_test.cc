@@ -7,6 +7,7 @@
 #include "catalog/view_store.h"
 #include "exec/engine.h"
 #include "exec/stats_collector.h"
+#include "execute_and_publish.h"
 #include "plan/plan.h"
 #include "storage/dfs.h"
 #include "udf/builtin_udfs.h"
@@ -45,11 +46,12 @@ class EngineTest : public ::testing::Test {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<Engine>(&dfs_, &views_, optimizer_.get());
+    engine_ = std::make_unique<Engine>(&dfs_, optimizer_.get());
   }
 
   storage::TablePtr Run(plan::Plan plan) {
-    auto result = engine_->Execute(&plan);
+    auto result =
+        testing_util::ExecuteAndPublish(engine_.get(), &views_, &plan);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     last_metrics_ = result->metrics;
     return result->table;

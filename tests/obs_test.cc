@@ -418,9 +418,9 @@ TEST(TraceDeterminismTest, ChromeJsonShapeUnderPipelinedExecution) {
   EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  // (A lone UDF map stage keeps its "map" wave name, so only the presence
-  // of "pipeline" is asserted here.)
+  // UDF map stages, a lone one included, run as fused "pipeline" waves.
   EXPECT_NE(json.find("\"name\":\"pipeline\""), std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"map\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"reduce\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"query:result\""), std::string::npos);
   int depth = 0;

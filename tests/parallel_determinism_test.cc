@@ -157,7 +157,7 @@ size_t ExpectJobsMatchReference(TestBed& bed, const RunResult& run) {
       auto want = reference::Evaluate(node, scans, bed.udfs());
       EXPECT_TRUE(got.ok() && want.ok());
       if (got.ok() && want.ok()) {
-        EXPECT_TRUE(reference::SameRows(*want, reference::TableRows(**got)));
+        EXPECT_TRUE(reference::SameRows(*want, (*got)->rows()));
         ++checked;
       }
       break;
@@ -196,7 +196,7 @@ TEST(ParallelDeterminismTest, WorkloadMatchesReferenceInterpreter) {
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   EXPECT_TRUE(rewritten->rewritten && rewritten->rewrite.improved);
   EXPECT_TRUE(
-      reference::SameRows(*want, reference::TableRows(*rewritten->table)));
+      reference::SameRows(*want, rewritten->table->rows()));
 }
 
 // Heavy key skew with a forced odd bucket count: the light buckets' last

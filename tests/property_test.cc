@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "exec/engine.h"
 #include "exec/hash/recycler.h"
+#include "execute_and_publish.h"
 #include "plan/fingerprint.h"
 #include "reference_exec.h"
 #include "rewrite/bf_rewrite.h"
@@ -62,8 +63,7 @@ class PropertyTest : public ::testing::TestWithParam<int> {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
-                                             optimizer_.get());
+    engine_ = std::make_unique<exec::Engine>(&dfs_, optimizer_.get());
     // Repeated scans of TWTR recycle join builds and group-by routes, so
     // the checks below cover recycled execution too.
     engine_->set_recycler(&recycler_);
@@ -180,6 +180,10 @@ class PropertyTest : public ::testing::TestWithParam<int> {
     return rows.ok() ? *rows : reference::Rows{};
   }
 
+  Result<exec::ExecResult> Execute(plan::Plan* plan) {
+    return testing_util::ExecuteAndPublish(engine_.get(), &views_, plan);
+  }
+
   storage::Dfs dfs_;
   catalog::Catalog catalog_;
   catalog::ViewStore views_;
@@ -197,8 +201,8 @@ TEST_P(PropertyTest, ExecutionIsDeterministic) {
   for (int trial = 0; trial < 5; ++trial) {
     plan::Plan p1 = RandomPlan(&rng);
     plan::Plan p2(plan::CloneTree(p1.root()), "copy");
-    auto r1 = engine_->Execute(&p1);
-    auto r2 = engine_->Execute(&p2);
+    auto r1 = Execute(&p1);
+    auto r2 = Execute(&p2);
     ASSERT_TRUE(r1.ok() && r2.ok());
     EXPECT_TRUE(reference::SameRows(Reference(p1), r1.value().table->rows()))
         << "seed " << GetParam() << " trial " << trial;
@@ -227,7 +231,7 @@ TEST_P(PropertyTest, RewritesAreAlwaysEquivalent) {
   int improved_count = 0;
   for (int trial = 0; trial < 6; ++trial) {
     plan::Plan base = RandomPlan(&rng);
-    auto seed_run = engine_->Execute(&base);  // populate views
+    auto seed_run = Execute(&base);  // populate views
     ASSERT_TRUE(seed_run.ok());
 
     plan::Plan revised = Mutate(base, &rng);
@@ -238,8 +242,8 @@ TEST_P(PropertyTest, RewritesAreAlwaysEquivalent) {
     if (outcome->improved) ++improved_count;
 
     plan::Plan best = outcome->plan;
-    auto rewr_run = engine_->Execute(&best);
-    auto orig_run = engine_->Execute(&revised_copy);
+    auto rewr_run = Execute(&best);
+    auto orig_run = Execute(&revised_copy);
     ASSERT_TRUE(rewr_run.ok() && orig_run.ok());
     const reference::Rows want = Reference(revised_copy);
     EXPECT_TRUE(reference::SameRows(want, orig_run.value().table->rows()))
@@ -259,7 +263,7 @@ TEST_P(PropertyTest, RewriteNeverCostsMoreThanOriginal) {
   Rng rng(GetParam() * 31 + 5);
   for (int trial = 0; trial < 6; ++trial) {
     plan::Plan base = RandomPlan(&rng);
-    ASSERT_TRUE(engine_->Execute(&base).ok());
+    ASSERT_TRUE(Execute(&base).ok());
     plan::Plan revised = Mutate(base, &rng);
     auto outcome = bfr_->Rewrite(&revised);
     ASSERT_TRUE(outcome.ok());

@@ -83,6 +83,33 @@ struct Agg {
   }
 };
 
+// Map stages run one row at a time; reduce stages fold rows into a
+// std::map of key groups and reduce them in ascending key order.
+Result<Rel> RunUdf(const udf::UdfDefinition& def, const udf::Params& params,
+                   const Rel& in) {
+  Rel cur = in;
+  for (const udf::LocalFunction& lf : def.local_functions) {
+    OPD_ASSIGN_OR_RETURN(Schema schema, lf.out_schema(cur.schema, params));
+    udf::LfContext ctx;
+    ctx.in_schema = &cur.schema;
+    ctx.out_schema = &schema;
+    ctx.params = &params;
+    Rows next;
+    if (lf.kind == udf::LfKind::kMap) {
+      for (const Row& row : cur.rows) lf.map_fn(row, ctx, &next);
+    } else {
+      OPD_ASSIGN_OR_RETURN(auto keys, Cols(cur.schema, lf.group_keys));
+      std::map<Row, Rows, RowLess> groups;
+      for (const Row& row : cur.rows) {
+        groups[Pick(row, keys)].push_back(row);
+      }
+      for (const auto& [key, rows] : groups) lf.reduce_fn(rows, ctx, &next);
+    }
+    cur = Rel{std::move(schema), std::move(next)};
+  }
+  return cur;
+}
+
 class Interpreter {
  public:
   Interpreter(const ScanFn& scan, const udf::UdfRegistry& udfs)
@@ -100,7 +127,7 @@ class Interpreter {
   Result<Rel> Compute(const plan::OpNode& node) {
     if (node.kind == plan::OpKind::kScan) {
       OPD_ASSIGN_OR_RETURN(storage::TablePtr table, scan_(node));
-      return Rel{table->schema(), TableRows(*table)};
+      return Rel{table->schema(), table->rows()};
     }
     std::vector<const Rel*> in;
     for (const plan::OpNodePtr& child : node.children) {
@@ -218,27 +245,7 @@ class Interpreter {
   Result<Rel> Udf(const plan::UdfInvocation& call, const Rel& in) {
     OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
                          udfs_.Find(call.udf_name));
-    Rel cur = in;
-    for (const udf::LocalFunction& lf : def->local_functions) {
-      OPD_ASSIGN_OR_RETURN(Schema schema, lf.out_schema(cur.schema, call.params));
-      udf::LfContext ctx;
-      ctx.in_schema = &cur.schema;
-      ctx.out_schema = &schema;
-      ctx.params = &call.params;
-      Rows next;
-      if (lf.kind == udf::LfKind::kMap) {
-        for (const Row& row : cur.rows) lf.map_fn(row, ctx, &next);
-      } else {
-        OPD_ASSIGN_OR_RETURN(auto keys, Cols(cur.schema, lf.group_keys));
-        std::map<Row, Rows, RowLess> groups;
-        for (const Row& row : cur.rows) {
-          groups[Pick(row, keys)].push_back(row);
-        }
-        for (const auto& [key, rows] : groups) lf.reduce_fn(rows, ctx, &next);
-      }
-      cur = Rel{std::move(schema), std::move(next)};
-    }
-    return cur;
+    return RunUdf(*def, call.params, in);
   }
 
   const ScanFn& scan_;
@@ -270,6 +277,14 @@ Result<Rows> Evaluate(const plan::OpNodePtr& root, const ScanFn& scan,
   return rel->rows;
 }
 
+Result<Rows> EvaluateUdf(const udf::UdfDefinition& def,
+                         const storage::Table& input,
+                         const udf::Params& params) {
+  OPD_ASSIGN_OR_RETURN(Rel rel, RunUdf(def, params,
+                                       Rel{input.schema(), input.rows()}));
+  return std::move(rel.rows);
+}
+
 ScanFn StoreScans(const catalog::Catalog& catalog,
                   const catalog::ViewStore& views, const storage::Dfs& dfs) {
   return [&](const plan::OpNode& scan) -> Result<storage::TablePtr> {
@@ -294,17 +309,6 @@ Result<Rows> EvaluatePlan(Session& session, plan::Plan plan) {
 Result<Rows> EvaluateOql(Session& session, const std::string& oql) {
   OPD_ASSIGN_OR_RETURN(plan::Plan plan, oql::ParseQuery(oql));
   return EvaluatePlan(session, std::move(plan));
-}
-
-Rows TableRows(const storage::Table& table) {
-  if (!table.columnar()) return table.rows();
-  Rows rows;
-  for (const storage::RowBatch& batch : *table.ToBatches()) {
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      rows.push_back(batch.RowAt(r));
-    }
-  }
-  return rows;
 }
 
 ::testing::AssertionResult SameRows(const Rows& expected, const Rows& actual) {

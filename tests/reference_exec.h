@@ -49,6 +49,11 @@ using ScanFn =
 Result<Rows> Evaluate(const plan::OpNodePtr& root, const ScanFn& scan,
                       const udf::UdfRegistry& udfs);
 
+/// Runs the local functions of `def` over `input` (see the file comment).
+Result<Rows> EvaluateUdf(const udf::UdfDefinition& def,
+                         const storage::Table& input,
+                         const udf::Params& params);
+
 /// Reads base tables through `catalog` and views through `views` from
 /// `dfs`, without metering the reads.
 ScanFn StoreScans(const catalog::Catalog& catalog,
@@ -60,10 +65,6 @@ Result<Rows> EvaluatePlan(Session& session, plan::Plan plan);
 
 /// Parses `oql` and evaluates its result plan (see EvaluatePlan).
 Result<Rows> EvaluateOql(Session& session, const std::string& oql);
-
-/// Rows of `table` in table order. A batch-primary table is read batch by
-/// batch, so no row copy is cached on it.
-Rows TableRows(const storage::Table& table);
 
 /// Succeeds iff `actual` and `expected` hold the same rows with the same
 /// multiplicities; otherwise names the first differing sorted row.

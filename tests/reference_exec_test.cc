@@ -55,7 +55,7 @@ void ExpectBoth(const std::vector<storage::TablePtr>& tables,
   no_rewrite.rewrite = false;
   auto run = (*session)->Run(oql, no_rewrite);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_TRUE(reference::SameRows(expected, reference::TableRows(*run->table)))
+  EXPECT_TRUE(reference::SameRows(expected, run->table->rows()))
       << "engine";
 }
 

@@ -9,6 +9,7 @@
 #include "catalog/catalog.h"
 #include "catalog/view_store.h"
 #include "exec/engine.h"
+#include "execute_and_publish.h"
 #include "obs/metrics.h"
 #include "plan/annotate.h"
 #include "plan/fingerprint.h"
@@ -59,8 +60,7 @@ class RewriteTest : public ::testing::Test {
     plan::AnnotationContext ctx{&catalog_, &views_, &udfs_};
     optimizer_ = std::make_unique<optimizer::Optimizer>(
         ctx, optimizer::CostModel());
-    engine_ = std::make_unique<exec::Engine>(&dfs_, &views_,
-                                             optimizer_.get());
+    engine_ = std::make_unique<exec::Engine>(&dfs_, optimizer_.get());
     bfr_ = std::make_unique<BfRewriter>(optimizer_.get(), &views_);
     dp_ = std::make_unique<DpRewriter>(optimizer_.get(), &views_);
     syntactic_ =
@@ -82,12 +82,14 @@ class RewriteTest : public ::testing::Test {
   }
 
   void Execute(plan::Plan plan) {
-    auto result = engine_->Execute(&plan);
+    auto result =
+        testing_util::ExecuteAndPublish(engine_.get(), &views_, &plan);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
 
   storage::TablePtr ExecuteGet(plan::Plan plan) {
-    auto result = engine_->Execute(&plan);
+    auto result =
+        testing_util::ExecuteAndPublish(engine_.get(), &views_, &plan);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result->table;
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/udf_exec.h"
+#include "reference_exec.h"
 #include "udf/builtin_udfs.h"
 #include "udf/udf.h"
 #include "udf/udf_registry.h"
@@ -255,9 +256,9 @@ TEST_F(UdfExecTest, ExtractLatLonDropsInvalid) {
 }
 
 // A synthetic UDF with three consecutive map stages (no builtin has a
-// map→map chain), exercising the pipelined engine's map-chain fusion: the
-// fused single-wave execution must match the phased stage-at-a-time run
-// byte-for-byte, including the per-stage accounting calibration relies on.
+// map→map chain), exercising map-chain fusion: serial and multi-task fused
+// runs must emit the reference interpreter's rows, identically, with the
+// per-stage accounting calibration relies on.
 TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   UdfDefinition udf;
   udf.name = "UDF_TEST_MAPCHAIN";
@@ -307,15 +308,20 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
     ASSERT_TRUE(t.AppendRow({Value(i)}).ok());
   }
 
-  Table phased_out;
-  std::vector<exec::LfStageRun> phased_stages;
-  ASSERT_TRUE(exec::RunLocalFunctions(udf, t, {}, &phased_out,
-                                      &phased_stages)
+  auto want = reference::EvaluateUdf(udf, t, {});
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  // Each x yields y=2x (even, kept) and y+1 (odd, dropped): 200 rows.
+  ASSERT_EQ(want->size(), 200u);
+
+  Table serial_out;
+  std::vector<exec::LfStageRun> serial_stages;
+  ASSERT_TRUE(exec::RunLocalFunctions(udf, t, {}, &serial_out,
+                                      &serial_stages)
                   .ok());
+  EXPECT_TRUE(reference::SameRows(*want, serial_out.rows()));
 
   ThreadPool pool(4);
   exec::UdfExecOptions opts;
-  opts.pipelined = true;
   opts.pool = &pool;
   opts.block_size_bytes = 256;  // force multiple fused map tasks
   Table fused_out;
@@ -323,21 +329,25 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   ASSERT_TRUE(exec::RunLocalFunctions(udf, t, {}, &fused_out, &fused_stages,
                                       opts)
                   .ok());
+  EXPECT_EQ(fused_out.rows(), serial_out.rows());
 
-  EXPECT_EQ(phased_out.rows(), fused_out.rows());
-  // Each x yields y=2x (even, kept) and y+1 (odd, dropped): 200 rows.
-  EXPECT_EQ(phased_out.num_rows(), 200u);
-
-  // Fusion must not change the per-stage observations.
-  ASSERT_EQ(fused_stages.size(), phased_stages.size());
-  for (size_t s = 0; s < fused_stages.size(); ++s) {
-    SCOPED_TRACE(phased_stages[s].lf_name);
-    EXPECT_EQ(fused_stages[s].lf_name, phased_stages[s].lf_name);
-    EXPECT_EQ(fused_stages[s].kind, phased_stages[s].kind);
-    EXPECT_EQ(fused_stages[s].in_rows, phased_stages[s].in_rows);
-    EXPECT_EQ(fused_stages[s].out_rows, phased_stages[s].out_rows);
-    EXPECT_EQ(fused_stages[s].in_bytes, phased_stages[s].in_bytes);
-    EXPECT_EQ(fused_stages[s].out_bytes, phased_stages[s].out_bytes);
+  // Fusion keeps per-stage observations: boundary rows and bytes per stage
+  // (8 bytes per int64 cell), with the group's wall time on its first stage.
+  const uint64_t in_rows[] = {200, 200, 400};
+  const uint64_t out_rows[] = {200, 400, 200};
+  for (const auto* stages : {&serial_stages, &fused_stages}) {
+    ASSERT_EQ(stages->size(), 3u);
+    for (size_t s = 0; s < 3; ++s) {
+      const exec::LfStageRun& run = (*stages)[s];
+      SCOPED_TRACE(run.lf_name);
+      EXPECT_EQ(run.lf_name, udf.local_functions[s].name);
+      EXPECT_EQ(run.kind, LfKind::kMap);
+      EXPECT_EQ(run.in_rows, in_rows[s]);
+      EXPECT_EQ(run.out_rows, out_rows[s]);
+      EXPECT_EQ(run.in_bytes, 8 * in_rows[s]);
+      EXPECT_EQ(run.out_bytes, 8 * out_rows[s]);
+      if (s > 0) EXPECT_EQ(run.wall_seconds, 0.0);
+    }
   }
 }
 
