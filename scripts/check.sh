@@ -47,10 +47,11 @@ cd ..
 echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
-  recycler_test query_log_test columnar_boundary_test storage_test -j
+  recycler_test query_log_test columnar_boundary_test storage_test \
+  exec_ops_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary|TableConcurrency' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary|TableConcurrency|ExecFailurePath' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

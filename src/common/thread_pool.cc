@@ -100,9 +100,6 @@ void CountdownLatch::Wait(ThreadPool* pool) {
   }
 }
 
-namespace {
-
-// Runs one index, converting any escaped exception into a Status.
 Status RunGuarded(const std::function<Status(size_t)>& fn, size_t i) {
   try {
     return fn(i);
@@ -112,8 +109,6 @@ Status RunGuarded(const std::function<Status(size_t)>& fn, size_t i) {
     return Status::Internal("task threw a non-std exception");
   }
 }
-
-}  // namespace
 
 Status ParallelFor(ThreadPool* pool, size_t n,
                    const std::function<Status(size_t)>& fn,
@@ -132,10 +127,7 @@ Status ParallelFor(ThreadPool* pool, size_t n,
       const auto start = std::chrono::steady_clock::now();
       Status st = RunGuarded(fn, i);
       if (!st.ok()) statuses[i] = std::move(st);
-      max_s = std::max(
-          max_s, std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count());
+      max_s = std::max(max_s, SecondsSince(start));
     }
     if (max_task_seconds != nullptr) *max_task_seconds = max_s;
   } else {
@@ -169,10 +161,7 @@ Status ParallelFor(ThreadPool* pool, size_t n,
         const auto start = std::chrono::steady_clock::now();
         Status st = RunGuarded(fn, i);
         if (!st.ok()) statuses[i] = std::move(st);
-        local_max = std::max(
-            local_max, std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count());
+        local_max = std::max(local_max, SecondsSince(start));
       }
       drain_max[w].v = local_max;
     };

@@ -7,6 +7,7 @@
 #define OPD_COMMON_THREAD_POOL_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -97,6 +98,16 @@ class CountdownLatch {
   std::condition_variable cv_;
   size_t remaining_;  // guarded by mu_
 };
+
+/// Runs `fn(i)`, converting any escaped exception into a Status.
+Status RunGuarded(const std::function<Status(size_t)>& fn, size_t i);
+
+/// Wall-clock seconds elapsed since `start`.
+inline double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// \brief Runs `fn(0) .. fn(n-1)` as pool tasks and waits for all of them.
 ///

@@ -1,42 +1,25 @@
 #include "exec/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "exec/expr/expr_program.h"
-#include "exec/hash/flat_table.h"
-#include "exec/hash/hash_kernels.h"
 #include "exec/hash/recycler.h"
-#include "exec/pipeline.h"
-#include "exec/udf_exec.h"
+#include "exec/ops.h"
 #include "obs/metrics.h"
 #include "plan/fingerprint.h"
-#include "storage/partition_buffer.h"
-#include "storage/row_batch.h"
-#include "storage/value.h"
 
 namespace opd::exec {
 
 using plan::OpKind;
 using plan::OpNode;
 using plan::OpNodePtr;
-using storage::ColumnVector;
-using storage::DataType;
-using storage::DictRemap;
-using storage::PartitionBuffer;
-using storage::Row;
-using storage::RowBatch;
-using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
-using storage::Value;
 
 namespace {
 
@@ -44,268 +27,92 @@ namespace {
 // per UDF name: their map/reduce scalars are individually calibrated, so
 // their drift is individually tracked.
 std::string ResidualOpClass(const OpNode& node) {
-  switch (node.kind) {
-    case OpKind::kScan:
-      return "SCAN";
+  return node.kind == OpKind::kUdf ? "UDF:" + node.udf.udf_name
+                                   : plan::OpKindName(node.kind);
+}
+
+// The operator of a job's node (ops.h); scans never become jobs.
+Status RunOperator(const OpInput& in, const TaskCtx& ctx, OpResult* out) {
+  switch (in.node->kind) {
     case OpKind::kProject:
-      return "PROJECT";
+      return RunProject(in, ctx, out);
     case OpKind::kFilter:
-      return "FILTER";
+      return RunFilter(in, ctx, out);
     case OpKind::kJoin:
-      return "JOIN";
+      return RunJoin(in, ctx, out);
     case OpKind::kGroupByAgg:
-      return "GROUPBY";
+      return RunGroupBy(in, ctx, out);
     case OpKind::kUdf:
-      return "UDF:" + node.udf.udf_name;
+      return RunUdf(in, ctx, out);
+    case OpKind::kScan:
+      break;
   }
-  return "UNKNOWN";
-}
-
-// Aggregation state for one group.
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  bool has = false;
-  Value min, max;
-
-  void Update(const Value& v) {
-    ++count;
-    sum += v.ToDouble();
-    if (!has || v < min) min = v;
-    if (!has || max < v) max = v;
-    has = true;
-  }
-};
-
-Value FinishAgg(const plan::AggSpec& spec, const AggState& s,
-                storage::DataType out_type) {
-  switch (spec.fn) {
-    case plan::AggFn::kCount:
-      return Value(s.count);
-    case plan::AggFn::kSum:
-      return out_type == storage::DataType::kInt64
-                 ? Value(static_cast<int64_t>(s.sum))
-                 : Value(s.sum);
-    case plan::AggFn::kAvg:
-      return s.count == 0 ? Value::Null()
-                          : Value(s.sum / static_cast<double>(s.count));
-    case plan::AggFn::kMin:
-      return s.has ? s.min : Value::Null();
-    case plan::AggFn::kMax:
-      return s.has ? s.max : Value::Null();
-  }
-  return Value::Null();
-}
-
-// Column resolver returning Status-checked indices.
-Result<size_t> ColIndex(const Schema& schema, const std::string& name) {
-  auto idx = schema.IndexOf(name);
-  if (!idx) return Status::NotFound("column not found at exec: " + name);
-  return *idx;
-}
-
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
-
-size_t DeriveReduceTasks(int requested, uint64_t shuffle_bytes,
-                         uint64_t block_size_bytes) {
-  if (requested > 0) return static_cast<size_t>(requested);
-  if (block_size_bytes == 0) return 1;
-  // One reduce task per block of shuffle input (mirrors the map-side block
-  // split rule), capped so tiny jobs don't pay per-bucket overhead. Derived
-  // from bytes only, so the bucketing is thread-count invariant.
-  return std::min<uint64_t>(shuffle_bytes / block_size_bytes + 1, 64);
-}
-
-// Runs one wave of `n` tasks under a "phase" span (and per-task spans when
-// enabled). Span ids are allocated serially before the wave, so the span
-// structure is identical at every thread count. With a null trace this is
-// a bare ParallelFor.
-Status RunPhase(const PipelineCtx& ctx, const char* phase, size_t n,
-                const std::function<Status(size_t)>& fn,
-                double* max_task_seconds) {
-  if (ctx.tasks != nullptr) *ctx.tasks += n;
-  if (ctx.trace == nullptr) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
-  obs::TraceSpan span(ctx.trace, ctx.parent_span, phase, "phase");
-  span.AddArg("tasks", static_cast<uint64_t>(n));
-  if (!ctx.trace_tasks) return ParallelFor(ctx.pool, n, fn, max_task_seconds);
-  return obs::TracedParallelFor(ctx.pool, n, ctx.trace, span.id(), phase, fn,
-                                max_task_seconds);
-}
-
-// Ratio of the fullest shuffle bucket to the mean bucket (1.0 = perfectly
-// balanced); negative when there is nothing to measure.
-template <typename T>
-double BucketSkew(const PartitionBuffer<T>& buf) {
-  size_t total = 0, largest = 0;
-  for (size_t b = 0; b < buf.num_buckets(); ++b) {
-    const size_t s = buf.BucketSize(b);
-    total += s;
-    largest = std::max(largest, s);
-  }
-  if (total == 0) return -1.0;
-  return static_cast<double>(largest) *
-         static_cast<double>(buf.num_buckets()) / static_cast<double>(total);
-}
-
-// A table's columnar payload plus flat-row-index bookkeeping.
-struct BatchList {
-  std::shared_ptr<const std::vector<RowBatch>> batches;
-  std::vector<size_t> offsets;  // global row index of each batch's first row
-  size_t num_rows = 0;
-
-  explicit BatchList(const Table& t) {
-    batches = t.ToBatches();
-    offsets.reserve(batches->size());
-    for (const RowBatch& b : *batches) {
-      offsets.push_back(num_rows);
-      num_rows += b.num_rows();
-    }
-  }
-  size_t size() const { return batches->size(); }
-  const RowBatch& batch(size_t b) const { return (*batches)[b]; }
-};
-
-// Flattened location of one row inside a BatchList. Shared with the
-// recycler (hash::RowRef) so cached join builds use the exact payload
-// layout the engine probes with.
-using RowRef = hash::RowRef;
-
-// Gathers one output column from per-row source refs, memoizing dictionary
-// remaps per source batch.
-class ColumnGatherer {
- public:
-  ColumnGatherer(DataType type, const BatchList& side, size_t col,
-                 size_t reserve)
-      : dst_(std::make_shared<ColumnVector>(type)),
-        side_(&side),
-        col_(col),
-        remaps_(side.size()) {
-    dst_->Reserve(reserve);
-  }
-
-  void Append(RowRef ref) {
-    dst_->AppendFrom(side_->batch(ref.batch).column(col_), ref.idx,
-                     &remaps_[ref.batch]);
-  }
-
-  storage::ColumnVectorPtr Finish() { return std::move(dst_); }
-
- private:
-  storage::ColumnVectorPtr dst_;
-  const BatchList* side_;
-  size_t col_;
-  std::vector<DictRemap> remaps_;
-};
-
-// Copies the recycler-key fields shared by join builds and group-by routes.
-hash::RecycleKey MakeRecycleKey(hash::RecycleKind kind,
-                                const std::string& identity,
-                                const std::vector<size_t>& key_cols,
-                                const hash::KeyCodec& codec,
-                                size_t num_buckets) {
-  hash::RecycleKey key;
-  key.kind = kind;
-  key.identity = identity;
-  key.key_cols = key_cols;
-  key.codec_modes.reserve(codec.modes.size());
-  for (hash::KeyColMode m : codec.modes) {
-    key.codec_modes.push_back(static_cast<uint8_t>(m));
-  }
-  key.num_buckets = static_cast<uint32_t>(num_buckets);
-  return key;
+  return Status::Internal("no operator for " + in.node->DisplayName());
 }
 
 }  // namespace
 
-Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
-                                   uint64_t parent_span) {
-  OPD_RETURN_NOT_OK(optimizer_->Prepare(plan));
-  const int run_id = run_counter_++;
-  const auto& ctx = optimizer_->context();
-  const auto& model = optimizer_->cost_model();
-  const uint64_t block_size = dfs_->block_size_bytes();
-  auto& registry = obs::MetricRegistry::Global();
-  // Registry objects live forever; resolve the hot ones once per run.
-  obs::Histogram* skew_hist =
-      options_.metrics ? &registry.histogram("engine.shuffle.skew") : nullptr;
-  obs::Histogram* ht_load_hist =
-      options_.metrics ? &registry.histogram("engine.hash.load_factor")
-                       : nullptr;
-  obs::Counter* ht_resizes =
-      options_.metrics ? &registry.counter("engine.shuffle.ht_resizes")
-                       : nullptr;
-  obs::Counter* arena_bytes_ctr =
-      options_.metrics ? &registry.counter("engine.shuffle.arena_bytes")
-                       : nullptr;
-  obs::Histogram* probe_len_hist =
-      options_.metrics ? &registry.histogram("engine.shuffle.probe_len")
-                       : nullptr;
-  // Hash-table recycling (HashStash, src/exec/hash/recycler.h) is active
-  // whenever a recycler is attached. The counters resolve whenever metrics
-  // are on so the engine.recycle.* names register even on runs that never
-  // touch a recyclable build.
-  obs::Counter* recycle_hit_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.hit") : nullptr;
-  obs::Counter* recycle_miss_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.miss") : nullptr;
-  obs::Counter* recycle_insert_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.insert") : nullptr;
-  obs::Counter* recycle_evict_ctr =
-      options_.metrics ? &registry.counter("engine.recycle.evict") : nullptr;
-  obs::Gauge* recycle_bytes_gauge =
-      options_.metrics ? &registry.gauge("engine.recycle.bytes") : nullptr;
-  // Publishes one recycler insert outcome (called from pool threads; the
-  // registry objects are thread-safe).
-  auto observe_recycle_insert = [&](const hash::HashRecycler::InsertResult& r) {
-    if (recycle_insert_ctr != nullptr && r.inserted) recycle_insert_ctr->Inc();
-    if (recycle_evict_ctr != nullptr && r.evicted > 0) {
-      recycle_evict_ctr->Inc(r.evicted);
-    }
-    if (recycle_bytes_gauge != nullptr && recycler_ != nullptr) {
-      recycle_bytes_gauge->Set(static_cast<double>(recycler_->bytes()));
-    }
-  };
-  // Publishes one flat table's probe/arena stats after its bucket finishes.
-  auto observe_flat = [&](const hash::FlatStats& s, size_t arena) {
-    if (ht_resizes != nullptr && s.resizes > 0) ht_resizes->Inc(s.resizes);
-    if (arena_bytes_ctr != nullptr && arena > 0) arena_bytes_ctr->Inc(arena);
-    if (probe_len_hist != nullptr && s.lookups > 0) {
-      probe_len_hist->Observe(1.0 + static_cast<double>(s.probe_steps) /
-                                        static_cast<double>(s.lookups));
-    }
+// One Execute call: the jobs fixed at planning, each job's observed state,
+// and the result the serial finalize accumulates.
+struct Engine::Execution {
+  // One job: planned by PlanJobs, then its observed state, written by
+  // RunJob (possibly on a pool thread) and consumed by the serial finalize.
+  struct Job {
+    const OpNodePtr* node = nullptr;  // owned by `topo`
+    std::string path;                 // DFS output path
+    std::vector<size_t> producers;    // indices of non-scan input jobs
+    Status status = Status::OK();
+    TablePtr table;  // sealed output (named, not yet written to the DFS)
+    OpResult op;     // everything the operator observed; its table moved out
+    uint64_t in_bytes = 0;
+    uint64_t in_rows = 0;
+    uint64_t out_bytes = 0;
+    uint64_t out_rows = 0;
+    size_t tasks = 0;
+    double wall_s = 0;
+    plan::JobCostInfo cost;
+    // Sampled view statistics of `table` (when retained with stats on).
+    catalog::TableStats stats;
+    double stats_wall_s = 0;
+    double stats_time_s = 0;
   };
 
-  ExecMetrics metrics;
-  ExecResult result;
+  Execution(Engine& e, plan::Plan* p, obs::Trace* t, int id)
+      : engine(e), plan(p), trace(t), run_id(id) {}
+
+  Engine& engine;
+  plan::Plan* plan;
+  obs::Trace* trace;
+  int run_id;
+
+  std::vector<OpNodePtr> topo;
+  std::vector<Job> jobs;
+  std::map<const OpNode*, size_t> job_of;
+  // Scan tables, then finalized job outputs.
   std::map<const OpNode*, TablePtr> results;
   // Recycling identity of each scan node: view id + publish epoch for view
-  // scans, table name for base scans. Filled during scan resolution below
-  // and read-only afterwards (jobs may run on pool threads).
+  // scans, table name for base scans. Read-only once planning ends.
   std::map<const OpNode*, std::string> scan_identity;
+  ExecMetrics metrics;
+  ExecResult result;
 
-  // --- Plan the run ---------------------------------------------------------
-  // Scans resolve serially up front (catalog/DFS lookups); every other
-  // operator becomes one job. Job indices — and therefore DFS output paths
-  // and ViewStore insertion order — are fixed here, in topological order, so
-  // they cannot depend on the execution schedule below.
-  const std::vector<OpNodePtr> topo = plan->TopoOrder();
-  struct JobSpec {
-    const OpNodePtr* node = nullptr;    // owned by `topo`
-    std::string path;                   // DFS output path
-    std::vector<size_t> producers;      // indices of non-scan input jobs
-  };
-  std::vector<JobSpec> specs;
-  std::map<const OpNode*, size_t> job_of;
+  Status PlanJobs();
+  void RunJob(size_t j, obs::TraceSpan* job_span);
+  void CollectStats(size_t j, obs::TraceSpan* job_span);
+  Status FinalizeJob(size_t j, obs::TraceSpan* job_span);
+  Status RunSerial(uint64_t parent_span);
+  Status RunDag();
+};
+
+// Scans resolve serially up front (catalog/DFS lookups); every other
+// operator becomes one job. Job indices — and therefore DFS output paths
+// and ViewStore insertion order — are fixed here, in topological order, so
+// they cannot depend on the execution schedule.
+Status Engine::Execution::PlanJobs() {
+  const plan::AnnotationContext& ctx = engine.optimizer_->context();
+  topo = plan->TopoOrder();
   for (const OpNodePtr& node_ptr : topo) {
-    OpNode* node = node_ptr.get();
+    const OpNode* node = node_ptr.get();
     if (node->kind == OpKind::kScan) {
       std::string path;
       if (node->view_id >= 0) {
@@ -320,15 +127,14 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         path = entry->dfs_path;
         scan_identity[node] = hash::BaseIdentity(node->table);
       }
-      OPD_ASSIGN_OR_RETURN(TablePtr table, dfs_->Read(path));
-      results[node] = table;
-      // Scan bytes are accounted in the consuming job's read phase below.
+      // Scan bytes are accounted in the consuming job's input.
+      OPD_ASSIGN_OR_RETURN(results[node], engine.dfs_->Read(path));
       continue;
     }
-    JobSpec spec;
-    spec.node = &node_ptr;
-    spec.path = "views/run" + std::to_string(run_id) + "/job" +
-                std::to_string(specs.size());
+    Job job;
+    job.node = &node_ptr;
+    job.path = "views/run" + std::to_string(run_id) + "/job" +
+               std::to_string(jobs.size());
     for (const OpNodePtr& child : node->children) {
       if (child->kind == OpKind::kScan) continue;
       auto it = job_of.find(child.get());
@@ -336,921 +142,261 @@ Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
         return Status::Internal("missing child result for " +
                                 node->DisplayName());
       }
-      spec.producers.push_back(it->second);
+      job.producers.push_back(it->second);
     }
-    job_of[node] = specs.size();
-    specs.push_back(std::move(spec));
+    job_of[node] = jobs.size();
+    jobs.push_back(std::move(job));
+  }
+  return Status::OK();
+}
+
+// Gathers one job's inputs and runs its operator. Everything here is
+// schedule-independent: inputs are immutable tables, every side effect
+// lands in this job's slot, and the metric handles are thread-safe.
+void Engine::Execution::RunJob(size_t j, obs::TraceSpan* job_span) {
+  Job& job = jobs[j];
+  OpInput in;
+  in.node = job.node->get();
+  in.udfs = engine.optimizer_->context().udfs;
+  in.recycler = engine.recycler_;
+  in.counters = &engine.counters_;
+  for (const OpNodePtr& child : in.node->children) {
+    TablePtr t;
+    std::string recycle_id;
+    if (child->kind == OpKind::kScan) {
+      auto it = results.find(child.get());
+      if (it != results.end()) t = it->second;
+      if (in.recycler != nullptr) recycle_id = scan_identity.at(child.get());
+    } else {
+      t = jobs[job_of.at(child.get())].table;
+    }
+    if (t == nullptr) {
+      // A producer failed (its own status carries the root cause, and it
+      // has the lower job index, so it wins the error report).
+      job.status = Status::Internal("missing child result for " +
+                                   in.node->DisplayName());
+      return;
+    }
+    job.in_bytes += t->ByteSize();
+    job.in_rows += t->num_rows();
+    in.tables.push_back(std::move(t));
+    in.recycle_ids.push_back(std::move(recycle_id));
   }
 
-  // Observed state of one job, written by run_job (possibly on a pool
-  // thread) and consumed by the serial finalize loop.
-  struct JobState {
-    Status status = Status::OK();
-    TablePtr table;  // sealed output (named, not yet written to the DFS)
-    uint64_t in_bytes = 0;
-    uint64_t in_rows = 0;
-    uint64_t shuffle_bytes = 0;
-    uint64_t out_bytes = 0;
-    uint64_t out_rows = 0;
-    bool has_shuffle = false;
-    double max_task_s = 0;
-    size_t reduce_tasks = 0;
-    size_t tasks = 0;
-    double skew = -1.0;
-    double wall_s = 0;
-    uint64_t recycle_hits = 0;
-    uint64_t recycle_misses = 0;
-    plan::JobCostInfo cost;
-    // Sampled view statistics of `table` (when retained with stats on).
-    catalog::TableStats stats;
-    double stats_wall_s = 0;
-    double stats_time_s = 0;
+  TaskCtx ctx;
+  ctx.pool = engine.pool_.get();
+  ctx.block_size_bytes = engine.dfs_->block_size_bytes();
+  ctx.num_reduce_tasks = engine.options_.num_reduce_tasks;
+  ctx.trace = trace;
+  ctx.parent_span = job_span != nullptr ? job_span->id() : 0;
+  ctx.tasks = &job.tasks;
+  const auto start = std::chrono::steady_clock::now();
+  job.status = RunOperator(in, ctx, &job.op);
+  if (!job.status.ok()) return;
+
+  Table& out = job.op.table;
+  job.out_bytes = out.ByteSize();
+  job.out_rows = out.num_rows();
+  job.cost = engine.optimizer_->cost_model().JobCost(
+      static_cast<double>(job.in_bytes),
+      static_cast<double>(job.op.shuffle_bytes),
+      static_cast<double>(job.out_bytes), job.op.map_scalar,
+      job.op.reduce_scalar, job.op.has_shuffle);
+  job.wall_s = SecondsSince(start);
+  out.set_name(job.path);
+  job.table = std::make_shared<const Table>(std::move(out));
+}
+
+// Stats sampling is a pure function of a job's sealed output, so it runs in
+// the job's own tail: under the DAG schedule on the job's pool thread,
+// after its consumers are released, so it is off their critical path.
+// Finalize folds the times into ExecMetrics in job order. The span keeps
+// its parent and, since finalize opens no span before it, its id.
+void Engine::Execution::CollectStats(size_t j, obs::TraceSpan* job_span) {
+  Job& job = jobs[j];
+  if (!engine.options_.retain_views || !engine.options_.collect_stats ||
+      job.table == nullptr) {
+    return;
+  }
+  obs::TraceSpan stats_span(trace, job_span != nullptr ? job_span->id() : 0,
+                            "stats", "phase");
+  const auto start = std::chrono::steady_clock::now();
+  job.stats = engine.stats_.Collect(*job.table);
+  job.stats_wall_s = SecondsSince(start);
+  job.stats_time_s =
+      engine.stats_.JobTime(*job.table, engine.optimizer_->cost_model());
+}
+
+// Every ordering-sensitive side effect happens here, in job-index (topo)
+// order, regardless of the execution schedule: DFS writes, metric and
+// JobRun accumulation, and ViewStore insertion (ViewIds are assigned in
+// insertion order and must not depend on thread timing).
+Status Engine::Execution::FinalizeJob(size_t j, obs::TraceSpan* job_span) {
+  Job& job = jobs[j];
+  const OpNodePtr& node_ptr = *job.node;
+  const OpNode* node = node_ptr.get();
+  const OpResult& op = job.op;
+
+  metrics.sim_time_s += job.cost.total_s;
+  metrics.bytes_read += job.in_bytes;
+  metrics.rows_read += job.in_rows;
+  metrics.bytes_shuffled += op.shuffle_bytes;
+  metrics.bytes_written += job.out_bytes;
+  metrics.jobs += 1;
+  metrics.max_task_time_s += op.max_task_s;
+
+  // Materialize the job output to the DFS (Hive materializes every job).
+  OPD_RETURN_NOT_OK(engine.dfs_->Write(job.path, job.table));
+  results[node] = job.table;
+
+  JobRun jr;
+  jr.index = static_cast<int>(j);
+  jr.node = node;
+  jr.op = node->DisplayName();
+  jr.sim_time_s = job.cost.total_s;
+  jr.wall_time_s = job.wall_s;
+  jr.bytes_read = job.in_bytes;
+  jr.bytes_shuffled = op.shuffle_bytes;
+  jr.bytes_written = job.out_bytes;
+  jr.rows_in = job.in_rows;
+  jr.rows_out = job.out_rows;
+  jr.map_tasks =
+      job.tasks >= op.reduce_tasks ? job.tasks - op.reduce_tasks : 0;
+  jr.reduce_tasks = op.reduce_tasks;
+  jr.max_task_time_s = op.max_task_s;
+  jr.recycle_hits = op.recycle_hits;
+  jr.recycle_misses = op.recycle_misses;
+  // Cost-model accountability: the optimizer's prediction (cost over
+  // estimated rows/bytes, annotated at Prepare) vs the model re-run on the
+  // observed byte counts. Finalize order is topological in both schedules,
+  // so the EWMA fold is deterministic.
+  jr.predicted_cost_s = node->cost.total_s;
+  jr.observed_proxy_cost_s = job.cost.total_s;
+  jr.residual_pct =
+      optimizer::ResidualPct(jr.predicted_cost_s, jr.observed_proxy_cost_s);
+  if (engine.accountant_ != nullptr) {
+    optimizer::JobResidual res;
+    res.op_class = ResidualOpClass(*node);
+    res.predicted_s = jr.predicted_cost_s;
+    res.observed_s = jr.observed_proxy_cost_s;
+    res.residual_pct = jr.residual_pct;
+    engine.accountant_->Record(res);
+  }
+  result.jobs.push_back(std::move(jr));
+
+  if (job_span != nullptr && *job_span) {
+    job_span->AddArg("sim_time_s", job.cost.total_s);
+    job_span->AddArg("bytes_read", job.in_bytes);
+    job_span->AddArg("bytes_shuffled", op.shuffle_bytes);
+    job_span->AddArg("bytes_written", job.out_bytes);
+    job_span->AddArg("rows_out", job.out_rows);
+    job_span->AddArg("max_task_time_s", op.max_task_s);
+  }
+  const ExecCounters& c = engine.counters_;
+  if (c.jobs != nullptr) {
+    c.jobs->Inc();
+    c.bytes_read->Inc(job.in_bytes);
+    c.bytes_shuffled->Inc(op.shuffle_bytes);
+    c.bytes_written->Inc(job.out_bytes);
+    if (op.skew > 0) c.skew->Observe(op.skew);
+  }
+
+  if (engine.options_.retain_views) {
+    catalog::ViewDefinition def;
+    def.dfs_path = job.path;
+    def.afk = node->afk;
+    def.out_attrs = node->out_attrs;
+    def.schema = node->out_schema;
+    def.fingerprint = plan::Fingerprint(node_ptr);
+    def.bytes = job.out_bytes;
+    def.producer = plan->name();
+    if (engine.options_.collect_stats) {
+      def.stats = std::move(job.stats);  // sampled by CollectStats
+      metrics.stats_wall_time_s += job.stats_wall_s;
+      metrics.stats_time_s += job.stats_time_s;
+    } else {
+      def.stats.rows = static_cast<double>(job.table->num_rows());
+      def.stats.avg_row_bytes = job.table->AvgRowBytes();
+    }
+    // The definition is complete here (data in DFS, stats collected) but is
+    // not yet visible: the caller publishes the whole run's views as one
+    // atomic batch (ExecResult::pending_views).
+    result.pending_views.push_back(std::move(def));
+  }
+  return Status::OK();
+}
+
+// Jobs one at a time in index order, each under its own span.
+Status Engine::Execution::RunSerial(uint64_t parent_span) {
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    obs::TraceSpan job_span(trace, parent_span,
+                            "job:" + (*jobs[j].node)->DisplayName(), "job");
+    RunJob(j, &job_span);
+    OPD_RETURN_NOT_OK(jobs[j].status);
+    CollectStats(j, &job_span);
+    OPD_RETURN_NOT_OK(FinalizeJob(j, &job_span));
+  }
+  return Status::OK();
+}
+
+// Independent jobs run concurrently on the shared pool: each job is one
+// pool task, and finishing it releases its consumers (dependency
+// countdown). A failed producer leaves its table null and its consumers
+// report "missing child result"; the finalize loop still returns the
+// lowest-index (root cause) error.
+Status Engine::Execution::RunDag() {
+  ThreadPool* pool = engine.pool_.get();
+  const size_t n = jobs.size();
+  std::vector<std::vector<size_t>> consumers(n);
+  auto remaining_deps = std::make_unique<std::atomic<size_t>[]>(n);
+  for (size_t j = 0; j < n; ++j) {
+    remaining_deps[j].store(jobs[j].producers.size(),
+                            std::memory_order_relaxed);
+    for (size_t p : jobs[j].producers) consumers[p].push_back(j);
+  }
+  CountdownLatch all_done(n);
+  std::function<void(size_t)> submit_job = [&](size_t j) {
+    pool->Submit([&, j] {
+      RunJob(j, nullptr);
+      for (size_t c : consumers[j]) {
+        if (remaining_deps[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          submit_job(c);
+        }
+      }
+      CollectStats(j, nullptr);
+      all_done.CountDown();
+    });
   };
-  std::vector<JobState> states(specs.size());
+  for (size_t j = 0; j < n; ++j) {
+    if (jobs[j].producers.empty()) submit_job(j);
+  }
+  all_done.Wait(pool);
+  for (size_t j = 0; j < n; ++j) {
+    OPD_RETURN_NOT_OK(jobs[j].status);
+    OPD_RETURN_NOT_OK(FinalizeJob(j, nullptr));
+  }
+  return Status::OK();
+}
 
-  // The recycling identity of a direct-scan input, or null when no recycler
-  // is attached or the child is not a scan (operator outputs are run-local
-  // and never recycled).
-  auto scan_ident = [&](const OpNode* child) -> const std::string* {
-    if (recycler_ == nullptr || child->kind != OpKind::kScan) return nullptr;
-    auto it = scan_identity.find(child);
-    return it == scan_identity.end() ? nullptr : &it->second;
-  };
-
-  // --- Per-job execution ----------------------------------------------------
-  // Everything here is schedule-independent: inputs come from immutable
-  // tables, all side effects land in this job's JobState slot, and the
-  // shared metric histograms are thread-safe.
-  auto run_job = [&](size_t j, obs::TraceSpan* job_span) {
-    JobState& st = states[j];
-    const OpNodePtr& node_ptr = *specs[j].node;
-    OpNode* node = node_ptr.get();
-
-    // Gather inputs: scans from the resolved map, operator inputs from the
-    // producing job's sealed output.
-    std::vector<TablePtr> inputs;
-    for (const OpNodePtr& child : node->children) {
-      TablePtr t;
-      if (child->kind == OpKind::kScan) {
-        auto it = results.find(child.get());
-        if (it != results.end()) t = it->second;
-      } else {
-        t = states[job_of.at(child.get())].table;
-      }
-      if (t == nullptr) {
-        // A producer failed (its own status carries the root cause, and it
-        // has the lower job index, so it wins the error report).
-        st.status = Status::Internal("missing child result for " +
-                                     node->DisplayName());
-        return;
-      }
-      st.in_bytes += t->ByteSize();
-      st.in_rows += t->num_rows();
-      inputs.push_back(std::move(t));
-    }
-    const uint64_t in_bytes = st.in_bytes;
-
-    size_t job_tasks = 0;
-    const uint64_t span_id = job_span != nullptr ? job_span->id() : 0;
-    const PipelineCtx pipe{pool_.get(), trace, span_id, options_.trace_tasks,
-                           &job_tasks};
-    const auto job_wall_start = std::chrono::steady_clock::now();
-
-    Table out("", node->out_schema);
-    uint64_t shuffle_bytes = 0;
-    bool has_shuffle = false;
-    double map_scalar = 1.0, reduce_scalar = 1.0;
-    double job_max_task_s = 0;  // critical-path task time across the job
-    size_t job_reduce_tasks = 0;
-    double job_skew = -1.0;
-    uint64_t job_recycle_hits = 0, job_recycle_misses = 0;
-    // Counts one recycler lookup outcome (global counter + per-job tally).
-    auto count_recycle = [&](bool hit) {
-      if (hit) {
-        ++job_recycle_hits;
-        if (recycle_hit_ctr != nullptr) recycle_hit_ctr->Inc();
-      } else {
-        ++job_recycle_misses;
-        if (recycle_miss_ctr != nullptr) recycle_miss_ctr->Inc();
-      }
-    };
-
-    Status body = [&]() -> Status {
-    switch (node->kind) {
-      case OpKind::kScan:
-        break;  // handled above
-      case OpKind::kProject: {
-        // Pure column swizzle compiled into an ExprProgram: output batches
-        // share the input's column vectors, no cell is touched.
-        const Table& in = *inputs[0];
-        std::vector<size_t> idx;
-        for (const std::string& name : node->project) {
-          OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), name));
-          idx.push_back(i);
-        }
-        const std::optional<expr::ExprProgram> program =
-            expr::ExprProgram::Compile(in.schema().num_columns(),
-                                       {expr::ExprStep::Project(idx)});
-        if (!program.has_value()) {
-          return Status::Internal("projection does not compile: " +
-                                  node->DisplayName());
-        }
-        const BatchList in_list(in);
-        std::vector<RowBatch> out_batches;
-        out_batches.reserve(in_list.size());
-        expr::EvalScratch scratch;
-        for (const RowBatch& b : *in_list.batches) {
-          out_batches.push_back(program->Run(b, &scratch));
-        }
-        out = Table::FromBatches("", node->out_schema, std::move(out_batches));
-        break;
-      }
-      case OpKind::kFilter: {
-        // One task per batch; survivors are gathered column-wise (full-batch
-        // selections are zero-copy).
-        const Table& in = *inputs[0];
-        const plan::FilterCond& cond = node->filter;
-        const BatchList in_list(in);
-        std::vector<RowBatch> out_batches(in_list.size());
-        if (cond.kind == plan::FilterCond::Kind::kCompare) {
-          OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), cond.column));
-          std::optional<expr::ExprProgram> program = expr::ExprProgram::Compile(
-              in.schema().num_columns(),
-              {expr::ExprStep::FilterCompare(i, cond.op, cond.literal)});
-          if (!program.has_value()) {
-            return Status::Internal("filter does not compile: " +
-                                    node->DisplayName());
-          }
-          // String predicates bind per-dictionary verdict bitmaps once,
-          // serially, before the parallel phase; each task then runs
-          // branchless mask kernels + one gather.
-          program->BindDictionaries(*in_list.batches);
-          const expr::ExprProgram& prog = *program;
-          OPD_RETURN_NOT_OK(RunPhase(
-              pipe, "pipeline", in_list.size(),
-              [&](size_t t) -> Status {
-                expr::EvalScratch scratch;
-                out_batches[t] = prog.Run(in_list.batch(t), &scratch);
-                return Status::OK();
-              },
-              &job_max_task_s));
-        } else {
-          // Opaque predicate UDFs are per-row black boxes: each row's
-          // arguments are read from the batch cells and the predicate's
-          // verdicts form the batch's selection vector.
-          OPD_ASSIGN_OR_RETURN(const udf::PredicateFn* fn,
-                               ctx.udfs->FindPredicate(cond.fn_name));
-          std::vector<size_t> idx;
-          for (const std::string& name : cond.arg_columns) {
-            OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), name));
-            idx.push_back(i);
-          }
-          udf::Params params;  // opaque predicate params are pre-bound strings
-          if (!cond.params.empty()) params["params"] = Value(cond.params);
-          OPD_RETURN_NOT_OK(RunPhase(
-              pipe, "pipeline", in_list.size(),
-              [&](size_t t) -> Status {
-                const RowBatch& b = in_list.batch(t);
-                std::vector<Value> args(idx.size());
-                std::vector<uint32_t> sel;
-                sel.reserve(b.num_rows());
-                for (size_t r = 0; r < b.num_rows(); ++r) {
-                  for (size_t a = 0; a < idx.size(); ++a) {
-                    args[a] = b.column(idx[a]).GetValue(r);
-                  }
-                  if ((*fn)(args, params)) sel.push_back(static_cast<uint32_t>(r));
-                }
-                out_batches[t] = b.Gather(sel);
-                return Status::OK();
-              },
-              &job_max_task_s));
-        }
-        out = Table::FromBatches("", node->out_schema, std::move(out_batches));
-        break;
-      }
-      case OpKind::kJoin: {
-        const Table& left = *inputs[0];
-        const Table& right = *inputs[1];
-        has_shuffle = true;
-        shuffle_bytes = in_bytes;  // both sides are re-partitioned by key
-        std::vector<size_t> lkeys, rkeys;
-        for (const auto& [lname, rname] : node->join.pairs) {
-          OPD_ASSIGN_OR_RETURN(size_t li, ColIndex(left.schema(), lname));
-          OPD_ASSIGN_OR_RETURN(size_t ri, ColIndex(right.schema(), rname));
-          lkeys.push_back(li);
-          rkeys.push_back(ri);
-        }
-        // Output column mapping: (from_left, index).
-        std::vector<std::pair<bool, size_t>> out_map;
-        for (const auto& col : node->out_schema.columns()) {
-          if (auto li = left.schema().IndexOf(col.name)) {
-            out_map.emplace_back(true, *li);
-          } else {
-            OPD_ASSIGN_OR_RETURN(size_t ri,
-                                 ColIndex(right.schema(), col.name));
-            out_map.emplace_back(false, ri);
-          }
-        }
-        // Build the hash table on the smaller side (ties keep the
-        // historical build-on-right choice); probe with the larger side.
-        // The output column order follows out_map and is side-invariant.
-        const bool build_right = right.num_rows() <= left.num_rows();
-        const Table& build_in = build_right ? right : left;
-        const Table& probe_in = build_right ? left : right;
-        const std::vector<size_t>& build_keys = build_right ? rkeys : lkeys;
-        const std::vector<size_t>& probe_keys = build_right ? lkeys : rkeys;
-
-        const size_t num_buckets = DeriveReduceTasks(
-            options_.num_reduce_tasks, shuffle_bytes, block_size);
-        job_reduce_tasks = num_buckets;
-
-        // Optimizer distinct-key estimate for the build side (product of
-        // the build child's per-key-column distincts, capped by its row
-        // estimate): pre-sizes each bucket table's per-key arrays (index
-        // slots, key refs, duplicate-chain heads/tails) well below the
-        // all-distinct worst case on duplicate-heavy keys. Growth past the
-        // estimate shows up in engine.shuffle.ht_resizes.
-        const OpNode* build_child = node->children[build_right ? 1 : 0].get();
-        size_t est_build_keys = 0;
-        {
-          double est = 1.0;
-          bool have = !node->join.pairs.empty();
-          for (const auto& [lname, rname] : node->join.pairs) {
-            auto it = build_child->est_distinct.find(build_right ? rname
-                                                                 : lname);
-            if (it == build_child->est_distinct.end() || it->second <= 0) {
-              have = false;
-              break;
-            }
-            est *= std::max(1.0, it->second);
-          }
-          if (have) {
-            if (build_child->est_rows > 0) {
-              est = std::min(est, build_child->est_rows);
-            }
-            est_build_keys = static_cast<size_t>(est);
-          }
-        }
-        auto join_key_hint = [&](size_t bucket_n) -> size_t {
-          return est_build_keys > 0
-                     ? std::min(bucket_n, est_build_keys / num_buckets + 1)
-                     : 0;
-        };
-
-        const BatchList build_list(build_in);
-        const BatchList probe_list(probe_in);
-        // Key codecs planned once per join from both sides' lanes.
-        const std::vector<hash::KeyCodec> codecs = hash::PlanKeyCodecs(
-            {{build_list.batches.get(), &build_keys},
-             {probe_list.batches.get(), &probe_keys}});
-
-        // Hash recycling: when the build side is a direct scan of an
-        // unchanged table/view, the recycler may hold its fully built
-        // per-bucket tables from an earlier query (possibly another
-        // tenant's). `cached` set => probe-only job; `pending` set => this
-        // job builds into the recycler's entry-to-be.
-        hash::RecycleKey rkey;
-        std::shared_ptr<const hash::CachedBuild> cached;
-        std::shared_ptr<hash::CachedBuild> pending;
-        std::atomic<uint64_t> build_ns{0};
-        if (const std::string* identity = scan_ident(build_child)) {
-          rkey = MakeRecycleKey(hash::RecycleKind::kJoinBuildBatch, *identity,
-                                build_keys, codecs[0], num_buckets);
-          cached = recycler_->Lookup(rkey, build_list.batches.get());
-          count_recycle(cached != nullptr);
-          if (cached == nullptr) {
-            pending = std::make_shared<hash::CachedBuild>();
-            pending->join_batch.resize(num_buckets);
-            pending->batches = build_list.batches;
-            pending->pin = build_list.batches.get();
-            pending->view_id = build_child->view_id;
-          }
-        }
-
-        // Fused map+partition: one producer per batch (build batches first,
-        // then probe batches) hashes straight into its own per-bucket
-        // buffer slots. On a recycle hit the build side needs no producers
-        // at all: the cached tables already hold every build row.
-        PartitionBuffer<RowRef> bbuf(build_list.size(), num_buckets);
-        PartitionBuffer<RowRef> pbuf(probe_list.size(), num_buckets);
-        std::vector<uint32_t> probe_bucket(probe_list.num_rows, 0);
-        // Per-row key hashes, kept so the reduce tables never re-hash.
-        std::vector<uint64_t> build_hash(cached == nullptr ? build_list.num_rows
-                                                           : 0);
-        std::vector<uint64_t> probe_hash(probe_list.num_rows);
-        const size_t nb = cached != nullptr ? 0 : build_list.size();
-        auto produce = [&](size_t t) -> Status {
-          const bool is_build = t < nb;
-          const size_t side_t = is_build ? t : t - nb;
-          const BatchList& list = is_build ? build_list : probe_list;
-          PartitionBuffer<RowRef>& buf = is_build ? bbuf : pbuf;
-          const RowBatch& batch = list.batch(side_t);
-          buf.ReserveProducer(side_t, batch.num_rows());
-          uint32_t* pb = is_build
-                             ? nullptr
-                             : probe_bucket.data() + probe_list.offsets[side_t];
-          // Batch-wide columnar hash, then multiply-shift buckets.
-          uint64_t* hashes = (is_build ? build_hash : probe_hash).data() +
-                             list.offsets[side_t];
-          hash::HashKeys(batch, is_build ? build_keys : probe_keys, hashes);
-          for (size_t i = 0; i < batch.num_rows(); ++i) {
-            const uint32_t b =
-                num_buckets <= 1 ? 0 : hash::BucketOf(hashes[i], num_buckets);
-            if (pb != nullptr) pb[i] = b;
-            buf.Append(side_t, b,
-                       RowRef{static_cast<uint32_t>(side_t),
-                              static_cast<uint32_t>(i)});
-          }
-          return Status::OK();
-        };
-
-        // Reduce: each bucket keys its build rows by their normalized key
-        // bytes (equal exactly when the key Values are equal) and probes in
-        // row order, emitting (probe ref, build ref) matches.
-        struct Match {
-          size_t probe_global;
-          RowRef probe, build;
-        };
-        std::vector<std::vector<Match>> bucket_out(num_buckets);
-        auto reduce_bucket = [&](size_t b) -> Status {
-          auto& local = bucket_out[b];
-          local.reserve(pbuf.BucketSize(b));
-          hash::KeyScratch key;
-          if (cached != nullptr) {
-            // Recycled build: probe the shared cached table through the
-            // stats-free accessors (other queries may probe it
-            // concurrently). Matches come out in the cached table's
-            // insertion order == global build-row order, exactly what a
-            // fresh build would emit.
-            const hash::FlatMultiMap<RowRef>& ht = cached->join_batch[b];
-            pbuf.ForEachInBucket(b, [&](RowRef pref) {
-              hash::NormalizeKey(probe_list.batch(pref.batch), pref.idx,
-                                 codecs[1], &key);
-              const size_t pg = probe_list.offsets[pref.batch] + pref.idx;
-              ht.ForEachMatchShared(probe_hash[pg], key.data(), key.size(),
-                                    [&](RowRef bref) {
-                                      local.push_back(Match{pg, pref, bref});
-                                    });
-            });
-            return Status::OK();
-          }
-          hash::FlatMultiMap<RowRef> fresh;
-          hash::FlatMultiMap<RowRef>& ht =
-              pending != nullptr ? pending->join_batch[b] : fresh;
-          const size_t build_n = bbuf.BucketSize(b);
-          ht.Reserve(build_n, codecs[0].bounded ? codecs[0].width_bound : 0,
-                     join_key_hint(build_n));
-          const auto build_start = std::chrono::steady_clock::now();
-          bbuf.ForEachInBucket(b, [&](RowRef ref) {
-            hash::NormalizeKey(build_list.batch(ref.batch), ref.idx,
-                               codecs[0], &key);
-            const size_t bg = build_list.offsets[ref.batch] + ref.idx;
-            ht.Insert(build_hash[bg], key.data(), key.size(), ref);
-          });
-          if (pending != nullptr) {
-            build_ns.fetch_add(
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - build_start)
-                        .count()),
-                std::memory_order_relaxed);
-          }
-          if (ht_load_hist != nullptr && ht.size() > 0) {
-            ht_load_hist->Observe(ht.load_factor());
-          }
-          pbuf.ForEachInBucket(b, [&](RowRef pref) {
-            hash::NormalizeKey(probe_list.batch(pref.batch), pref.idx,
-                               codecs[1], &key);
-            const size_t pg = probe_list.offsets[pref.batch] + pref.idx;
-            ht.ForEachMatch(probe_hash[pg], key.data(), key.size(),
-                            [&](RowRef bref) {
-                              local.push_back(Match{pg, pref, bref});
-                            });
-          });
-          observe_flat(ht.stats(), ht.arena_bytes());
-          return Status::OK();
-        };
-
-        double part_s = 0, reduce_max_s = 0;
-        OPD_RETURN_NOT_OK(RunPipelinedShuffle(pipe, nb + probe_list.size(),
-                                              produce, num_buckets,
-                                              reduce_bucket, &part_s,
-                                              &reduce_max_s));
-        job_skew = BucketSkew(pbuf);
-        job_max_task_s = part_s + reduce_max_s;
-
-        if (pending != nullptr) {
-          pending->build_cost_s =
-              static_cast<double>(build_ns.load(std::memory_order_relaxed)) *
-              1e-9;
-          observe_recycle_insert(recycler_->Insert(rkey, std::move(pending)));
-          pending.reset();
-        }
-
-        // Deterministic merge: matches in probe-row order (each bucket's
-        // output is already ordered by probe index, so a cursor per bucket
-        // suffices). Identical for every thread/bucket count.
-        size_t total = 0;
-        for (const auto& b : bucket_out) total += b.size();
-        std::vector<std::pair<RowRef, RowRef>> merged;  // (probe, build)
-        merged.reserve(total);
-        std::vector<size_t> cursor(num_buckets, 0);
-        for (size_t p = 0; p < probe_list.num_rows; ++p) {
-          auto& local = bucket_out[probe_bucket[p]];
-          size_t& c = cursor[probe_bucket[p]];
-          while (c < local.size() && local[c].probe_global == p) {
-            merged.emplace_back(local[c].probe, local[c].build);
-            ++c;
-          }
-        }
-
-        // Assemble the output column-wise: one gather per output column
-        // from whichever side it came from.
-        std::vector<storage::ColumnVectorPtr> out_cols;
-        out_cols.reserve(out_map.size());
-        for (size_t c = 0; c < out_map.size(); ++c) {
-          const auto& [from_left, src_col] = out_map[c];
-          const bool from_probe = from_left == build_right;
-          const BatchList& side = from_probe ? probe_list : build_list;
-          ColumnGatherer gatherer(node->out_schema.columns()[c].type, side,
-                                  src_col, merged.size());
-          for (const auto& [pref, bref] : merged) {
-            gatherer.Append(from_probe ? pref : bref);
-          }
-          out_cols.push_back(gatherer.Finish());
-        }
-        if (options_.metrics) {
-          // Dictionary compression of the gathered string columns: hit
-          // rate is 1 - entries/values across the run.
-          for (const auto& col : out_cols) {
-            if (col->declared_type() == DataType::kString &&
-                col->is_native() && col->size() > 0) {
-              registry.counter("storage.dict.values").Inc(col->size());
-              registry.counter("storage.dict.entries").Inc(col->dict_size());
-            }
-          }
-        }
-        std::vector<RowBatch> out_batches;
-        out_batches.push_back(RowBatch(std::move(out_cols), merged.size()));
-        out = Table::FromBatches("", node->out_schema, std::move(out_batches));
-        break;
-      }
-      case OpKind::kGroupByAgg: {
-        const Table& in = *inputs[0];
-        has_shuffle = true;
-        shuffle_bytes = in_bytes;
-        std::vector<size_t> key_idx;
-        for (const std::string& key : node->group.keys) {
-          OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), key));
-          key_idx.push_back(i);
-        }
-        std::vector<std::optional<size_t>> agg_idx;
-        for (const auto& spec : node->group.aggs) {
-          if (spec.input.empty()) {
-            agg_idx.push_back(std::nullopt);
-          } else {
-            OPD_ASSIGN_OR_RETURN(size_t i, ColIndex(in.schema(), spec.input));
-            agg_idx.push_back(i);
-          }
-        }
-        const size_t num_buckets = DeriveReduceTasks(
-            options_.num_reduce_tasks, shuffle_bytes, block_size);
-        job_reduce_tasks = num_buckets;
-
-        using GroupEntry = std::pair<Row, std::vector<AggState>>;
-        double part_s = 0, reduce_max_s = 0;
-        std::vector<std::vector<GroupEntry>> bucket_groups(num_buckets);
-        // Optimizer cardinality estimate (product of key distincts from the
-        // sampled stats, capped by input rows): pre-sizes each bucket's flat
-        // group index when it is available — the bucket's group count is
-        // roughly est_groups/num_buckets, far below its row count for
-        // duplicate-heavy keys. Growth past the estimate is what the
-        // engine.shuffle.ht_resizes counter measures.
-        const size_t est_groups =
-            node->est_rows > 0 ? static_cast<size_t>(node->est_rows) : 0;
-        auto group_hint = [&](size_t bucket_n) -> size_t {
-          return est_groups > 0
-                     ? std::min(bucket_n, est_groups / num_buckets + 1)
-                     : bucket_n;
-        };
-
-        const BatchList in_list(in);
-        const std::vector<hash::KeyCodec> codecs =
-            hash::PlanKeyCodecs({{in_list.batches.get(), &key_idx}});
-        // Folds input row `ref` into one group's aggregates. Rows of a key
-        // fold in original row order, so floating point accumulation
-        // matches a serial pass.
-        auto fold = [&](std::vector<AggState>* aggs, RowRef ref) {
-          const RowBatch& batch = in_list.batch(ref.batch);
-          for (size_t a = 0; a < aggs->size(); ++a) {
-            (*aggs)[a].Update(agg_idx[a]
-                                  ? batch.column(*agg_idx[a]).GetValue(ref.idx)
-                                  : Value(int64_t{1}));
-          }
-        };
-
-        // Hash recycling for group-by: the aggregates are query-specific,
-        // so the recycler caches the *grouping routes* — per bucket, each
-        // input row (in reduce order) with the dense group id it folded
-        // into, plus a copy of each group's key. A hit skips partitioning
-        // and group discovery entirely and replays the routes with a
-        // hash-free linear pass, folding this query's aggregates from the
-        // live input.
-        hash::RecycleKey grkey;
-        std::shared_ptr<const hash::CachedBuild> gcached;
-        std::shared_ptr<hash::CachedBuild> gpending;
-        const OpNode* in_child = node->children[0].get();
-        if (const std::string* identity = scan_ident(in_child)) {
-          grkey = MakeRecycleKey(hash::RecycleKind::kGroupByBatch, *identity,
-                                 key_idx, codecs[0], num_buckets);
-          gcached = recycler_->Lookup(grkey, in_list.batches.get());
-          count_recycle(gcached != nullptr);
-          if (gcached == nullptr) {
-            gpending = std::make_shared<hash::CachedBuild>();
-            gpending->group_rows_batch.resize(num_buckets);
-            gpending->group_of.resize(num_buckets);
-            gpending->group_keys.resize(num_buckets);
-            gpending->batches = in_list.batches;
-            gpending->pin = in_list.batches.get();
-            gpending->view_id = in_child->view_id;
-          }
-        }
-
-        if (gcached != nullptr) {
-          // Recycle hit: no partitioning, no hashing — replay the recorded
-          // routes per bucket, folding this query's aggregates from the
-          // live input. Route order == the original reduce order == global
-          // row order per bucket, so float accumulation and first-seen
-          // group order are byte-identical to a rebuild.
-          OPD_RETURN_NOT_OK(RunPhase(
-              pipe, "reduce", num_buckets,
-              [&](size_t b) -> Status {
-                const auto& rrows = gcached->group_rows_batch[b];
-                const auto& rgof = gcached->group_of[b];
-                const auto& rkeys = gcached->group_keys[b];
-                std::vector<GroupEntry>& groups = bucket_groups[b];
-                groups.reserve(rkeys.size());
-                for (size_t i = 0; i < rrows.size(); ++i) {
-                  const uint32_t id = rgof[i];
-                  if (id == groups.size()) {
-                    groups.emplace_back(
-                        rkeys[id],
-                        std::vector<AggState>(node->group.aggs.size()));
-                  }
-                  fold(&groups[id].second, rrows[i]);
-                }
-                return Status::OK();
-              },
-              &reduce_max_s));
-        } else {
-          // Fused map+partition: one producer per batch hashes straight
-          // into its per-bucket buffer slots; per-row key hashes are kept
-          // for the reduce tables. Each bucket then hash-aggregates its
-          // rows keyed by the normalized key bytes; the key Row is
-          // materialized once per group.
-          PartitionBuffer<RowRef> buf(in_list.size(), num_buckets);
-          std::vector<uint64_t> hash_of(in_list.num_rows);
-          OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-              pipe, in_list.size(),
-              [&](size_t t) -> Status {
-                const RowBatch& batch = in_list.batch(t);
-                buf.ReserveProducer(t, batch.num_rows());
-                uint64_t* hashes = hash_of.data() + in_list.offsets[t];
-                hash::HashKeys(batch, key_idx, hashes);
-                for (size_t i = 0; i < batch.num_rows(); ++i) {
-                  const uint32_t b = num_buckets <= 1
-                                         ? 0
-                                         : hash::BucketOf(hashes[i],
-                                                          num_buckets);
-                  buf.Append(t, b,
-                             RowRef{static_cast<uint32_t>(t),
-                                    static_cast<uint32_t>(i)});
-                }
-                return Status::OK();
-              },
-              num_buckets,
-              [&](size_t b) -> Status {
-                std::vector<GroupEntry>& groups = bucket_groups[b];
-                hash::FlatGroupIndex index;
-                index.Reserve(group_hint(buf.BucketSize(b)),
-                              codecs[0].bounded ? codecs[0].width_bound : 0);
-                hash::KeyScratch key;
-                buf.ForEachInBucket(b, [&](RowRef ref) {
-                  const RowBatch& batch = in_list.batch(ref.batch);
-                  hash::NormalizeKey(batch, ref.idx, codecs[0], &key);
-                  const size_t g = in_list.offsets[ref.batch] + ref.idx;
-                  auto [id, inserted] =
-                      index.InsertOrGet(hash_of[g], key.data(), key.size());
-                  if (inserted) {
-                    Row krow;
-                    krow.reserve(key_idx.size());
-                    for (size_t c : key_idx) {
-                      krow.push_back(batch.column(c).GetValue(ref.idx));
-                    }
-                    // Copy the key into the recycler record *before* the
-                    // move below (the merge later moves keys out of groups).
-                    if (gpending != nullptr) {
-                      gpending->group_keys[b].push_back(krow);
-                    }
-                    groups.emplace_back(
-                        std::move(krow),
-                        std::vector<AggState>(node->group.aggs.size()));
-                  }
-                  if (gpending != nullptr) {
-                    gpending->group_rows_batch[b].push_back(ref);
-                    gpending->group_of[b].push_back(id);
-                  }
-                  fold(&groups[id].second, ref);
-                });
-                if (ht_load_hist != nullptr && index.size() > 0) {
-                  ht_load_hist->Observe(index.load_factor());
-                }
-                observe_flat(index.stats(), index.arena_bytes());
-                return Status::OK();
-              },
-              &part_s, &reduce_max_s));
-          job_skew = BucketSkew(buf);
-        }
-        job_max_task_s = part_s + reduce_max_s;
-
-        if (gpending != nullptr) {
-          // Benefit = the partition + reduce wall a future hit skips (the
-          // replay pass it pays instead is a fraction of it).
-          gpending->build_cost_s = part_s + reduce_max_s;
-          observe_recycle_insert(recycler_->Insert(grkey, std::move(gpending)));
-          gpending.reset();
-        }
-
-        // Deterministic merge: groups sorted by key, for any thread/bucket
-        // count.
-        std::vector<GroupEntry*> ordered;
-        size_t num_groups = 0;
-        for (auto& g : bucket_groups) num_groups += g.size();
-        ordered.reserve(num_groups);
-        for (auto& groups : bucket_groups) {
-          for (GroupEntry& g : groups) ordered.push_back(&g);
-        }
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const GroupEntry* a, const GroupEntry* b) {
-                    return RowLess()(a->first, b->first);
-                  });
-        const auto& out_cols = node->out_schema.columns();
-        for (GroupEntry* g : ordered) {
-          Row r = std::move(g->first);
-          const size_t key_size = r.size();
-          r.reserve(key_size + g->second.size());
-          for (size_t a = 0; a < g->second.size(); ++a) {
-            r.push_back(FinishAgg(node->group.aggs[a], g->second[a],
-                                  out_cols[key_size + a].type));
-          }
-          OPD_RETURN_NOT_OK(out.AppendRow(std::move(r)));
-        }
-        break;
-      }
-      case OpKind::kUdf: {
-        // UDF local functions are opaque per-row/per-group user code: the
-        // engine falls back to row-at-a-time execution at this boundary.
-        // Consecutive map stages fuse into one row loop and reduce stages
-        // use the latch-scheduled shuffle (see RunLocalFunctions).
-        OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
-                             ctx.udfs->Find(node->udf.udf_name));
-        std::vector<LfStageRun> stage_runs;
-        UdfExecOptions udf_opts;
-        udf_opts.pool = pool_.get();
-        udf_opts.block_size_bytes = block_size;
-        udf_opts.num_reduce_tasks = options_.num_reduce_tasks;
-        udf_opts.trace = trace;
-        udf_opts.parent_span = span_id;
-        udf_opts.trace_tasks = options_.trace_tasks;
-        udf_opts.tasks = &job_tasks;
-        OPD_RETURN_NOT_OK(RunLocalFunctions(*def, *inputs[0],
-                                            node->udf.params, &out,
-                                            &stage_runs, udf_opts));
-        has_shuffle = def->HasShuffle();
-        map_scalar = def->map_scalar;
-        reduce_scalar = def->reduce_scalar;
-        // Shuffle bytes: output of the last map stage before the first
-        // reduce (the data that actually crosses the network). The job's
-        // straggler time is the sum of its stage barriers' slowest tasks.
-        bool saw_reduce = false;
-        for (const LfStageRun& run : stage_runs) {
-          if (!saw_reduce && run.kind == udf::LfKind::kReduce) {
-            shuffle_bytes = run.in_bytes;
-            saw_reduce = true;
-          }
-          job_max_task_s += run.max_task_seconds;
-        }
-        break;
-      }
-    }
-    return Status::OK();
-    }();
-    if (!body.ok()) {
-      st.status = std::move(body);
-      return;
-    }
-
-    st.out_bytes = out.ByteSize();
-    st.out_rows = out.num_rows();
-    st.cost = model.JobCost(
-        static_cast<double>(in_bytes), static_cast<double>(shuffle_bytes),
-        static_cast<double>(st.out_bytes), map_scalar, reduce_scalar,
-        has_shuffle);
-    st.shuffle_bytes = shuffle_bytes;
-    st.has_shuffle = has_shuffle;
-    st.max_task_s = job_max_task_s;
-    st.reduce_tasks = job_reduce_tasks;
-    st.tasks = job_tasks;
-    st.skew = job_skew;
-    st.recycle_hits = job_recycle_hits;
-    st.recycle_misses = job_recycle_misses;
-    st.wall_s = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - job_wall_start)
-                    .count();
-    out.set_name(specs[j].path);
-    st.table = std::make_shared<const Table>(std::move(out));
-  };
-
-  // Stats sampling is a pure function of a job's sealed output, so it runs
-  // in the job's own tail: under the DAG schedule on the job's pool thread,
-  // after its consumers are released, so it is off their critical path.
-  // Finalize folds the times into ExecMetrics in job order. The span keeps
-  // its parent and, since finalize opens no span before it, its id.
-  auto collect_stats = [&](size_t j, obs::TraceSpan* job_span) {
-    JobState& st = states[j];
-    if (!options_.retain_views || !options_.collect_stats ||
-        st.table == nullptr) {
-      return;
-    }
-    obs::TraceSpan stats_span(trace, job_span != nullptr ? job_span->id() : 0,
-                              "stats", "phase");
-    const auto stats_start = std::chrono::steady_clock::now();
-    st.stats = stats_.Collect(*st.table);
-    st.stats_wall_s = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - stats_start)
-                          .count();
-    st.stats_time_s = stats_.JobTime(*st.table, model);
-  };
-
-  // --- Serial finalize ------------------------------------------------------
-  // Every ordering-sensitive side effect happens here, in job-index (topo)
-  // order, regardless of the execution schedule: DFS writes, metric and
-  // JobRun accumulation, and ViewStore insertion (ViewIds are assigned in
-  // insertion order and must not depend on thread timing).
-  auto finalize_job = [&](size_t j, obs::TraceSpan* job_span) -> Status {
-    JobState& st = states[j];
-    const OpNodePtr& node_ptr = *specs[j].node;
-    OpNode* node = node_ptr.get();
-
-    metrics.sim_time_s += st.cost.total_s;
-    metrics.bytes_read += st.in_bytes;
-    metrics.rows_read += st.in_rows;
-    metrics.bytes_shuffled += st.shuffle_bytes;
-    metrics.bytes_written += st.out_bytes;
-    metrics.jobs += 1;
-    metrics.max_task_time_s += st.max_task_s;
-
-    // Materialize the job output to the DFS (Hive materializes every job).
-    OPD_RETURN_NOT_OK(dfs_->Write(specs[j].path, st.table));
-    results[node] = st.table;
-
-    JobRun jr;
-    jr.index = static_cast<int>(j);
-    jr.node = node;
-    jr.op = node->DisplayName();
-    jr.sim_time_s = st.cost.total_s;
-    jr.wall_time_s = st.wall_s;
-    jr.bytes_read = st.in_bytes;
-    jr.bytes_shuffled = st.shuffle_bytes;
-    jr.bytes_written = st.out_bytes;
-    jr.rows_in = st.in_rows;
-    jr.rows_out = st.out_rows;
-    jr.map_tasks = st.tasks >= st.reduce_tasks ? st.tasks - st.reduce_tasks
-                                               : 0;
-    jr.reduce_tasks = st.reduce_tasks;
-    jr.max_task_time_s = st.max_task_s;
-    jr.recycle_hits = st.recycle_hits;
-    jr.recycle_misses = st.recycle_misses;
-    // Cost-model accountability: the optimizer's prediction (cost over
-    // estimated rows/bytes, annotated at Prepare) vs the model re-run on
-    // the observed byte counts. Finalize order is topological in both
-    // schedules, so the EWMA fold is deterministic.
-    jr.predicted_cost_s = node->cost.total_s;
-    jr.observed_proxy_cost_s = st.cost.total_s;
-    jr.residual_pct =
-        optimizer::ResidualPct(jr.predicted_cost_s, jr.observed_proxy_cost_s);
-    if (accountant_ != nullptr) {
-      optimizer::JobResidual res;
-      res.op_class = ResidualOpClass(*node);
-      res.predicted_s = jr.predicted_cost_s;
-      res.observed_s = jr.observed_proxy_cost_s;
-      res.residual_pct = jr.residual_pct;
-      accountant_->Record(res);
-    }
-    result.jobs.push_back(std::move(jr));
-
-    if (job_span != nullptr && *job_span) {
-      job_span->AddArg("sim_time_s", st.cost.total_s);
-      job_span->AddArg("bytes_read", st.in_bytes);
-      job_span->AddArg("bytes_shuffled", st.shuffle_bytes);
-      job_span->AddArg("bytes_written", st.out_bytes);
-      job_span->AddArg("rows_out", st.out_rows);
-      job_span->AddArg("max_task_time_s", st.max_task_s);
-    }
-    if (options_.metrics) {
-      registry.counter("engine.jobs").Inc();
-      registry.counter("engine.bytes_read").Inc(st.in_bytes);
-      registry.counter("engine.bytes_shuffled").Inc(st.shuffle_bytes);
-      registry.counter("engine.bytes_written").Inc(st.out_bytes);
-      if (st.skew > 0) skew_hist->Observe(st.skew);
-    }
-
-    if (options_.retain_views) {
-      catalog::ViewDefinition def;
-      def.dfs_path = specs[j].path;
-      def.afk = node->afk;
-      def.out_attrs = node->out_attrs;
-      def.schema = node->out_schema;
-      def.fingerprint = plan::Fingerprint(node_ptr);
-      def.bytes = st.out_bytes;
-      def.producer = plan->name();
-      if (options_.collect_stats) {
-        def.stats = std::move(st.stats);  // sampled by collect_stats
-        metrics.stats_wall_time_s += st.stats_wall_s;
-        metrics.stats_time_s += st.stats_time_s;
-      } else {
-        def.stats.rows = static_cast<double>(st.table->num_rows());
-        def.stats.avg_row_bytes = st.table->AvgRowBytes();
-      }
-      // The definition is complete here (data in DFS, stats collected) but
-      // is not yet visible: the caller publishes the whole run's views as
-      // one atomic batch (ExecResult::pending_views).
-      result.pending_views.push_back(std::move(def));
-    }
-    return Status::OK();
-  };
-
-  // --- Schedule -------------------------------------------------------------
-  // Cross-job DAG scheduling runs independent jobs concurrently on the
-  // shared pool. It is an untraced-only optimization: span ids must be
-  // allocated in deterministic order, which requires serial job execution.
+Result<ExecResult> Engine::Execute(plan::Plan* plan, obs::Trace* trace,
+                                   uint64_t parent_span) {
+  OPD_RETURN_NOT_OK(optimizer_->Prepare(plan));
+  Execution run(*this, plan, trace, run_counter_++);
+  OPD_RETURN_NOT_OK(run.PlanJobs());
+  // Cross-job DAG scheduling is an untraced-only optimization: span ids
+  // must be allocated in deterministic order, which requires serial job
+  // execution.
   const bool dag_schedule =
-      pool_ != nullptr && trace == nullptr && specs.size() > 1;
-  if (!dag_schedule) {
-    for (size_t j = 0; j < specs.size(); ++j) {
-      obs::TraceSpan job_span(trace, parent_span,
-                              "job:" + (*specs[j].node)->DisplayName(),
-                              "job");
-      run_job(j, &job_span);
-      OPD_RETURN_NOT_OK(states[j].status);
-      collect_stats(j, &job_span);
-      OPD_RETURN_NOT_OK(finalize_job(j, &job_span));
-    }
-  } else {
-    const size_t n = specs.size();
-    std::vector<std::vector<size_t>> consumers(n);
-    auto remaining_deps = std::make_unique<std::atomic<size_t>[]>(n);
-    for (size_t j = 0; j < n; ++j) {
-      remaining_deps[j].store(specs[j].producers.size(),
-                              std::memory_order_relaxed);
-      for (size_t p : specs[j].producers) consumers[p].push_back(j);
-    }
-    CountdownLatch all_done(n);
-    // Each job runs as one pool task; finishing a job releases its
-    // consumers (dependency countdown), failed producers leave their table
-    // null and consumers report "missing child result" — the finalize loop
-    // below still returns the lowest-index (root cause) error.
-    std::function<void(size_t)> submit_job = [&](size_t j) {
-      pool_->Submit([&, j] {
-        run_job(j, nullptr);
-        for (size_t c : consumers[j]) {
-          if (remaining_deps[c].fetch_sub(1, std::memory_order_acq_rel) ==
-              1) {
-            submit_job(c);
-          }
-        }
-        collect_stats(j, nullptr);
-        all_done.CountDown();
-      });
-    };
-    for (size_t j = 0; j < n; ++j) {
-      if (specs[j].producers.empty()) submit_job(j);
-    }
-    all_done.Wait(pool_.get());
-    for (size_t j = 0; j < n; ++j) {
-      OPD_RETURN_NOT_OK(states[j].status);
-      OPD_RETURN_NOT_OK(finalize_job(j, nullptr));
-    }
-  }
+      pool_ != nullptr && trace == nullptr && run.jobs.size() > 1;
+  OPD_RETURN_NOT_OK(dag_schedule ? run.RunDag() : run.RunSerial(parent_span));
 
-  auto sink = results.find(plan->root().get());
-  if (sink == results.end()) {
+  auto sink = run.results.find(plan->root().get());
+  if (sink == run.results.end()) {
     return Status::Internal("plan produced no sink result");
   }
-
-  result.table = sink->second;
-  result.metrics = metrics;
-  return result;
+  run.result.table = sink->second;
+  run.result.metrics = run.metrics;
+  return std::move(run.result);
 }
 
 }  // namespace opd::exec

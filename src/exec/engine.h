@@ -6,6 +6,10 @@
 // (with its AFK annotation, plan fingerprint, and sampled statistics) that
 // the caller publishes to the ViewStore. Modeled cluster time is computed by
 // applying the cost model to the *observed* byte counts of each job.
+//
+// The Engine plans, schedules and finalizes jobs; each job's body is one
+// operator function of the shared interface in exec/ops.h (RunProject,
+// RunFilter, RunJoin, RunGroupBy, RunUdf) over one task context.
 
 #ifndef OPD_EXEC_ENGINE_H_
 #define OPD_EXEC_ENGINE_H_
@@ -39,10 +43,9 @@ struct EngineOptions {
   /// Retain job outputs as opportunistic views (Section 2.1). Always true in
   /// the paper's system; switchable for ablation.
   bool retain_views = true;
-  /// Run the sampling stats job for each retained view.
+  /// Run the sampling stats job for each retained view (at
+  /// kStatsSampleFraction with kStatsSeed, stats_collector.h).
   bool collect_stats = true;
-  double stats_sample_fraction = 0.05;
-  uint64_t stats_seed = 42;
   /// Worker threads for map/reduce task execution. 0 means one per core;
   /// 1 runs every task inline on the calling thread (the pre-parallel
   /// behavior). Results are byte-identical for every setting.
@@ -54,9 +57,6 @@ struct EngineOptions {
   /// Publish per-job observations (shuffle skew, hash-table load factors,
   /// dictionary compression, byte counts) into obs::MetricRegistry::Global().
   bool metrics = true;
-  /// Emit one span per pipeline/reduce task when a Trace is attached to
-  /// Execute. Off keeps only the job/phase spans (cheaper for huge jobs).
-  bool trace_tasks = true;
 };
 
 /// Observed execution record of one MR job — the raw material for
@@ -110,7 +110,7 @@ class Engine {
       : dfs_(dfs),
         optimizer_(optimizer),
         options_(options),
-        stats_(options.stats_sample_fraction, options.stats_seed) {
+        counters_(ExecCounters::Resolve(options.metrics)) {
     const int threads = ThreadPool::DefaultThreads(options_.num_threads);
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
@@ -119,16 +119,16 @@ class Engine {
   /// and the run's metrics are returned; when retention is on, every job's
   /// materialization comes back as a view definition in `pending_views`.
   ///
-  /// Every job runs batch-at-a-time over columnar data: project/filter as
-  /// fused expression programs, join/group-by as morsel-driven pipelined
-  /// shuffles into flat hash tables (UDF stages and opaque predicates run
-  /// per row). When `trace` is non-null each MR job opens a "job:<op>" span
-  /// under `parent_span`, with nested "pipeline"/"reduce" phase spans
-  /// (per-bucket spans under "reduce") and task spans if
-  /// EngineOptions::trace_tasks. Span structure is deterministic:
-  /// identical at every thread count; only durations vary. Tracing forces
-  /// jobs to execute serially (cross-job DAG scheduling is an untraced
-  /// optimization), so the span tree is also job-order deterministic.
+  /// Scans resolve up front; every other node becomes one job, which runs
+  /// its operator function (exec/ops.h) over the sealed outputs of its
+  /// inputs. Untraced runs with a pool schedule independent jobs
+  /// concurrently (a DAG); traced runs execute jobs serially. Either way the
+  /// jobs finalize serially in job order (DFS writes, metrics, JobRuns,
+  /// view definitions), and a failure returns the lowest-index failed job's
+  /// status. When `trace` is non-null each job opens a "job:<op>" span under
+  /// `parent_span`, with "pipeline"/"reduce" phase spans and one span per
+  /// task. Span structure is identical at every thread count; only
+  /// durations vary.
   Result<ExecResult> Execute(plan::Plan* plan, obs::Trace* trace = nullptr,
                              uint64_t parent_span = 0);
 
@@ -159,12 +159,15 @@ class Engine {
   hash::HashRecycler* recycler_ = nullptr;
   EngineOptions options_;
   StatsCollector stats_;
+  ExecCounters counters_;
   /// Task pool shared by all jobs of this engine; null when running with a
   /// single thread (tasks then execute inline on the calling thread).
   std::unique_ptr<ThreadPool> pool_;
   /// Atomic: concurrent tenant queries of a Server share one Engine, and
   /// each Execute call needs a unique "views/run<N>/..." DFS namespace.
   std::atomic<int> run_counter_{0};
+
+  struct Execution;  // one Execute call's jobs and results (engine.cc)
 };
 
 }  // namespace opd::exec

@@ -3,10 +3,17 @@
 #ifndef OPD_EXEC_METRICS_H_
 #define OPD_EXEC_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
+
 namespace opd::exec {
+
+namespace hash {
+struct FlatStats;
+}
 
 /// \brief What one plan execution cost, in modeled cluster time and actual
 /// data movement (the paper's Figures 7-8 metrics).
@@ -50,6 +57,39 @@ struct ExecMetrics {
   /// One flat JSON object with every field plus the derived totals — the
   /// single serialization used by bench --json and the trace export.
   std::string ToJson() const;
+};
+
+/// \brief The engine's handles into obs::MetricRegistry::Global(), resolved
+/// once per Engine (registry objects live forever), so no job takes the
+/// registry mutex. Every handle is null when EngineOptions::metrics is off.
+struct ExecCounters {
+  // Shuffle hash tables (join builds, group-by indexes).
+  obs::Histogram* ht_load = nullptr;       // engine.hash.load_factor
+  obs::Counter* ht_resizes = nullptr;      // engine.shuffle.ht_resizes
+  obs::Counter* arena_bytes = nullptr;     // engine.shuffle.arena_bytes
+  obs::Histogram* probe_len = nullptr;     // engine.shuffle.probe_len
+  // Hash-table recycling (src/exec/hash/recycler.h).
+  obs::Counter* recycle_hit = nullptr;
+  obs::Counter* recycle_miss = nullptr;
+  obs::Counter* recycle_insert = nullptr;
+  obs::Counter* recycle_evict = nullptr;
+  obs::Gauge* recycle_bytes = nullptr;
+  // Dictionary compression of gathered join output columns.
+  obs::Counter* dict_values = nullptr;
+  obs::Counter* dict_entries = nullptr;
+  // Per-job totals, published in finalize.
+  obs::Counter* jobs = nullptr;
+  obs::Counter* bytes_read = nullptr;
+  obs::Counter* bytes_shuffled = nullptr;
+  obs::Counter* bytes_written = nullptr;
+  obs::Histogram* skew = nullptr;          // engine.shuffle.skew
+
+  static ExecCounters Resolve(bool enabled);
+
+  /// Publishes one shuffle hash table's load factor, growth, arena and
+  /// probe-length stats after its bucket finishes (thread-safe).
+  void ObserveTable(size_t size, double load_factor, const hash::FlatStats& s,
+                    size_t arena) const;
 };
 
 }  // namespace opd::exec

@@ -11,11 +11,17 @@
 
 namespace opd::exec {
 
+/// Fraction of rows the engine's stats Map job samples, and the seed of its
+/// per-row draws.
+inline constexpr double kStatsSampleFraction = 0.05;
+inline constexpr uint64_t kStatsSeed = 42;
+
 /// \brief Samples a table and estimates its statistics.
 class StatsCollector {
  public:
   /// \param sample_fraction fraction of rows sampled by the stats Map job
-  explicit StatsCollector(double sample_fraction = 0.05, uint64_t seed = 42)
+  explicit StatsCollector(double sample_fraction = kStatsSampleFraction,
+                          uint64_t seed = kStatsSeed)
       : fraction_(sample_fraction), seed_(seed) {}
 
   /// Estimates stats from a deterministic sample. Row count and byte size
@@ -32,8 +38,6 @@ class StatsCollector {
   /// Modeled time of the sampling Map job under `model`.
   double JobTime(const storage::Table& table,
                  const optimizer::CostModel& model) const;
-
-  double fraction() const { return fraction_; }
 
  private:
   double fraction_;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "exec/hash/flat_table.h"
-#include "exec/hash/hash_kernels.h"
-#include "exec/pipeline.h"
-#include "storage/partition_buffer.h"
 
 namespace opd::exec {
 
@@ -18,43 +16,6 @@ using storage::Schema;
 using storage::Table;
 
 namespace {
-
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    // Lexicographic; arities are equal within one grouping.
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
-
-size_t DeriveReduceTasks(int requested, uint64_t in_bytes,
-                         uint64_t block_size_bytes) {
-  if (requested > 0) return static_cast<size_t>(requested);
-  if (block_size_bytes == 0) return 1;
-  // One reduce task per block of shuffle input, like the map-side split
-  // rule; capped so tiny jobs don't pay per-bucket overhead.
-  return std::min<uint64_t>(in_bytes / block_size_bytes + 1, 64);
-}
-
-// Runs one wave of `n` parallel tasks, wrapped in a phase span (plus task
-// spans when enabled). Ids are allocated before the wave starts, keeping the
-// span structure identical at every thread count.
-Status RunWave(const UdfExecOptions& opts, uint64_t parent, const char* name,
-               size_t n, const std::function<Status(size_t)>& fn,
-               double* max_task_seconds) {
-  if (opts.tasks != nullptr) *opts.tasks += n;
-  if (opts.trace == nullptr) {
-    return ParallelFor(opts.pool, n, fn, max_task_seconds);
-  }
-  obs::TraceSpan span(opts.trace, parent, name, "phase");
-  span.AddArg("tasks", static_cast<uint64_t>(n));
-  if (!opts.trace_tasks) return ParallelFor(opts.pool, n, fn, max_task_seconds);
-  return obs::TracedParallelFor(opts.pool, n, opts.trace, span.id(), name, fn,
-                                max_task_seconds);
-}
 
 // One key group gathered during the shuffle, and what the reduce call over
 // it emitted. Keeping outputs attached to their key lets the merge step
@@ -69,11 +30,11 @@ struct ReduceGroup {
 // buckets, group and reduce each bucket as one task, then merge the groups'
 // outputs in global key order — the same order the previous ordered-map
 // implementation produced, regardless of bucket or thread counts.
-Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
+Status RunReduceStage(const udf::LocalFunction& lf,
+                      const udf::LfContext& lf_ctx,
                       const Schema& in_schema, std::vector<Row>* rows,
-                      uint64_t in_bytes, const UdfExecOptions& opts,
-                      uint64_t stage_span, std::vector<Row>* out,
-                      double* max_task_seconds) {
+                      const TaskCtx& ctx, LfStageRun* run,
+                      std::vector<Row>* out) {
   std::vector<size_t> key_idx;
   for (const std::string& key : lf.group_keys) {
     auto idx = in_schema.IndexOf(key);
@@ -84,8 +45,9 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   }
 
   const size_t n = rows->size();
-  const size_t num_buckets =
-      DeriveReduceTasks(opts.num_reduce_tasks, in_bytes, opts.block_size_bytes);
+  const uint64_t in_bytes = run->in_bytes;
+  const size_t num_buckets = DeriveReduceTasks(ctx, in_bytes);
+  run->reduce_tasks = num_buckets;
   auto key_of = [&key_idx](const Row& row) {
     Row key;
     key.reserve(key_idx.size());
@@ -105,12 +67,10 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
   // its own per-bucket buffer slots; a bucket's reduce starts the moment
   // its last producer finishes (no partition barrier, no global scatter).
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      n, avg_row_bytes, opts.block_size_bytes);
+      n, avg_row_bytes, ctx.block_size_bytes);
   storage::PartitionBuffer<size_t> buf(splits.size(), num_buckets);
-  const PipelineCtx pctx{opts.pool, opts.trace, stage_span,
-                         opts.trace_tasks, opts.tasks};
   OPD_RETURN_NOT_OK(RunPipelinedShuffle(
-      pctx, splits.size(),
+      ctx, splits.size(),
       [&](size_t t) -> Status {
         const RowRange& split = splits[t];
         buf.ReserveProducer(t, split.size());
@@ -145,23 +105,16 @@ Status RunReduceStage(const udf::LocalFunction& lf, const udf::LfContext& ctx,
           }
           groups[id].rows.push_back(std::move(row));
         });
-        std::sort(groups.begin(), groups.end(),
-                  [](const ReduceGroup& a, const ReduceGroup& g) {
-                    return RowLess()(a.key, g.key);
-                  });
         for (ReduceGroup& g : groups) {
-          lf.reduce_fn(g.rows, ctx, &g.emitted);
+          lf.reduce_fn(g.rows, lf_ctx, &g.emitted);
           g.rows.clear();
         }
         return Status::OK();
       },
       &partition_max_s, &reduce_max_s));
-  if (max_task_seconds != nullptr) {
-    *max_task_seconds = partition_max_s + reduce_max_s;
-  }
+  run->max_task_seconds = partition_max_s + reduce_max_s;
 
-  // Deterministic merge: emit every group's output in global key order
-  // (buckets are already key-sorted; merge them by key).
+  // Deterministic merge: emit every group's output in global key order.
   std::vector<ReduceGroup*> ordered;
   size_t num_groups = 0, total_rows = 0;
   for (auto& groups : bucket_groups) num_groups += groups.size();
@@ -218,7 +171,7 @@ struct MapInput {
 // are preserved). Appends one LfStageRun per fused stage.
 Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
                          const MapInput& input, const udf::Params& params,
-                         const UdfExecOptions& opts, Schema* cur_schema,
+                         const TaskCtx& ctx, Schema* cur_schema,
                          std::vector<Row>* out, Table* out_table,
                          std::vector<LfStageRun>* stages) {
   const auto& lfs = udf.local_functions;
@@ -249,16 +202,11 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
 
   size_t n = 0;
   uint64_t in_bytes = 0;
-  std::shared_ptr<const std::vector<storage::RowBatch>> batches;
-  std::vector<size_t> batch_start;  // first row of each batch
+  std::optional<BatchList> list;
   if (input.table != nullptr) {
-    n = input.table->num_rows();
+    list.emplace(*input.table);
+    n = list->num_rows;
     in_bytes = input.table->ByteSize();
-    batches = input.table->ToBatches();
-    for (size_t b = 0, row = 0; b < batches->size(); ++b) {
-      batch_start.push_back(row);
-      row += (*batches)[b].num_rows();
-    }
   } else {
     n = input.rows->size();
     for (const Row& r : *input.rows) in_bytes += storage::RowByteSize(r);
@@ -266,10 +214,10 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
   const double avg_row_bytes =
       n == 0 ? 0.0 : static_cast<double>(in_bytes) / static_cast<double>(n);
   const std::vector<RowRange> splits = storage::SplitRowsByBlockSize(
-      n, avg_row_bytes, opts.block_size_bytes);
+      n, avg_row_bytes, ctx.block_size_bytes);
 
-  obs::TraceSpan stage_span(opts.trace, opts.parent_span,
-                            "stage:" + fused_name, "stage");
+  obs::TraceSpan stage_span(ctx.trace, ctx.parent_span, "stage:" + fused_name,
+                            "stage");
   const auto start = std::chrono::steady_clock::now();
 
   // Per-task outputs plus per-task counts at each stage boundary (boundary
@@ -281,8 +229,8 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
   std::vector<std::vector<uint64_t>> out_rows(splits.size());
   std::vector<std::vector<uint64_t>> out_bytes(splits.size());
   double wave_max_s = 0;
-  OPD_RETURN_NOT_OK(RunWave(
-      opts, stage_span.id(), "pipeline", splits.size(),
+  OPD_RETURN_NOT_OK(RunPhase(
+      ctx.Under(stage_span.id()), "pipeline", splits.size(),
       [&](size_t t) -> Status {
         const RowRange& split = splits[t];
         out_rows[t].assign(k, 0);
@@ -295,14 +243,13 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
           }
         } else if (split.size() > 0) {
           Row scratch;
+          const std::vector<size_t>& offsets = list->offsets;
           size_t b = static_cast<size_t>(
-                         std::upper_bound(batch_start.begin(),
-                                          batch_start.end(), split.begin) -
-                         batch_start.begin()) -
-                     1;
+              std::upper_bound(offsets.begin(), offsets.end(), split.begin) -
+              offsets.begin() - 1);
           for (size_t r = split.begin; r < split.end; ++r) {
-            while (r - batch_start[b] >= (*batches)[b].num_rows()) ++b;
-            (*batches)[b].ReadRow(r - batch_start[b], &scratch);
+            while (r - offsets[b] >= list->batch(b).num_rows()) ++b;
+            list->batch(b).ReadRow(r - offsets[b], &scratch);
             lfs[s].map_fn(scratch, ctxs[0], &cur);
           }
         }
@@ -326,17 +273,13 @@ Status RunFusedMapStages(const udf::UdfDefinition& udf, size_t s, size_t e,
         const auto build_start = std::chrono::steady_clock::now();
         parts[t] = Table("", schemas[k]);
         for (Row& r : cur) OPD_RETURN_NOT_OK(parts[t].AppendRow(std::move(r)));
-        build_s[t] = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - build_start)
-                         .count();
+        build_s[t] = SecondsSince(build_start);
         return Status::OK();
       },
       &wave_max_s));
   // The output build is not user code, so it stays out of the group's
   // wall time (exactly so for a serial run, as calibration makes).
-  double wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+  double wall_s = SecondsSince(start);
   for (double b : build_s) wall_s -= b;
   wall_s = std::max(wall_s, 0.0);
 
@@ -399,7 +342,7 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
                          const storage::Table& input,
                          const udf::Params& params, storage::Table* output,
                          std::vector<LfStageRun>* stages,
-                         const UdfExecOptions& exec_options) {
+                         const TaskCtx& ctx) {
   if (udf.local_functions.empty()) {
     return Status::InvalidArgument("UDF has no local functions: " + udf.name);
   }
@@ -423,14 +366,13 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
       }
       if (stage_e == lfs.size()) {
         return RunFusedMapStages(udf, stage_i, stage_e,
-                                 MapInput{table_input, &rows}, params,
-                                 exec_options, &cur_schema, nullptr, output,
-                                 stages);
+                                 MapInput{table_input, &rows}, params, ctx,
+                                 &cur_schema, nullptr, output, stages);
       }
       std::vector<Row> fused_out;
       OPD_RETURN_NOT_OK(RunFusedMapStages(
-          udf, stage_i, stage_e, MapInput{table_input, &rows}, params,
-          exec_options, &cur_schema, &fused_out, nullptr, stages));
+          udf, stage_i, stage_e, MapInput{table_input, &rows}, params, ctx,
+          &cur_schema, &fused_out, nullptr, stages));
       table_input = nullptr;
       rows = std::move(fused_out);
       stage_i = stage_e;
@@ -448,10 +390,10 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
                               lf.name);
     }
     OPD_ASSIGN_OR_RETURN(Schema out_schema, lf.out_schema(cur_schema, params));
-    udf::LfContext ctx;
-    ctx.in_schema = &cur_schema;
-    ctx.out_schema = &out_schema;
-    ctx.params = &params;
+    udf::LfContext lf_ctx;
+    lf_ctx.in_schema = &cur_schema;
+    lf_ctx.out_schema = &out_schema;
+    lf_ctx.params = &params;
 
     LfStageRun run;
     run.lf_name = lf.name;
@@ -459,15 +401,14 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     run.in_rows = rows.size();
     for (const Row& r : rows) run.in_bytes += storage::RowByteSize(r);
 
-    obs::TraceSpan stage_span(exec_options.trace, exec_options.parent_span,
-                              "stage:" + lf.name, "stage");
+    obs::TraceSpan stage_span(ctx.trace, ctx.parent_span, "stage:" + lf.name,
+                              "stage");
     std::vector<Row> next_rows;
-    auto start = std::chrono::steady_clock::now();
-    OPD_RETURN_NOT_OK(RunReduceStage(lf, ctx, cur_schema, &rows, run.in_bytes,
-                                     exec_options, stage_span.id(),
-                                     &next_rows, &run.max_task_seconds));
-    auto end = std::chrono::steady_clock::now();
-    run.wall_seconds = std::chrono::duration<double>(end - start).count();
+    const auto start = std::chrono::steady_clock::now();
+    OPD_RETURN_NOT_OK(RunReduceStage(lf, lf_ctx, cur_schema, &rows,
+                                     ctx.Under(stage_span.id()), &run,
+                                     &next_rows));
+    run.wall_seconds = SecondsSince(start);
     if (stage_span) {
       stage_span.AddArg("in_rows", run.in_rows);
       stage_span.AddArg("in_bytes", run.in_bytes);
@@ -490,6 +431,33 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
     OPD_RETURN_NOT_OK(result.AppendRow(std::move(row)));
   }
   *output = std::move(result);
+  return Status::OK();
+}
+
+Status RunUdf(const OpInput& in, const TaskCtx& ctx, OpResult* out) {
+  // UDF local functions are opaque per-row/per-group user code: the engine
+  // falls back to row-at-a-time execution at this boundary.
+  const plan::OpNode& node = *in.node;
+  OPD_ASSIGN_OR_RETURN(const udf::UdfDefinition* def,
+                       in.udfs->Find(node.udf.udf_name));
+  std::vector<LfStageRun> stage_runs;
+  OPD_RETURN_NOT_OK(RunLocalFunctions(*def, *in.tables[0], node.udf.params,
+                                      &out->table, &stage_runs, ctx));
+  out->has_shuffle = def->HasShuffle();
+  out->map_scalar = def->map_scalar;
+  out->reduce_scalar = def->reduce_scalar;
+  // Shuffle bytes: output of the last map stage before the first reduce
+  // (the data that actually crosses the network). The job's straggler time
+  // is the sum of its stage barriers' slowest tasks.
+  bool saw_reduce = false;
+  for (const LfStageRun& run : stage_runs) {
+    if (!saw_reduce && run.kind == udf::LfKind::kReduce) {
+      out->shuffle_bytes = run.in_bytes;
+      saw_reduce = true;
+    }
+    out->max_task_s += run.max_task_seconds;
+    out->reduce_tasks += run.reduce_tasks;
+  }
   return Status::OK();
 }
 

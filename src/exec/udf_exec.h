@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
-#include "obs/trace.h"
+#include "exec/ops.h"
 #include "storage/table.h"
 #include "udf/udf.h"
 
@@ -25,31 +24,18 @@ struct LfStageRun {
   uint64_t out_rows = 0;
   double wall_seconds = 0;  // real CPU wall time of the user code
   double max_task_seconds = 0;  // slowest task of this stage's wave
-};
-
-/// How a local-function pipeline is parallelized. There is one schedule:
-/// each run of consecutive map stages (one or more) fuses into one wave of
-/// block-sized tasks, and each reduce stage runs a latch-scheduled shuffle
-/// (storage::PartitionBuffer + RunPipelinedShuffle). The defaults (null
-/// pool) run the tasks serially; the engine passes its pool and the DFS
-/// block size. Task granularity never changes results — stage outputs are
-/// merged in a deterministic order.
-struct UdfExecOptions {
-  ThreadPool* pool = nullptr;     // null => run tasks inline
-  uint64_t block_size_bytes = 64 * 1024;  // map split size (Dfs default)
-  int num_reduce_tasks = 0;       // 0 => derived from stage input size
-  /// Tracing hooks (see obs/trace.h): each reduce stage and each fused map
-  /// group opens a "stage:<name>" span under `parent_span` (fused names are
-  /// joined with '+'), with phase spans (and task spans when
-  /// `trace_tasks`). Null trace = no overhead.
-  obs::Trace* trace = nullptr;
-  uint64_t parent_span = 0;
-  bool trace_tasks = true;
-  /// Optional accumulator for the number of tasks launched across stages.
-  size_t* tasks = nullptr;
+  size_t reduce_tasks = 0;  // shuffle buckets of a reduce stage (0 for maps)
 };
 
 /// \brief Runs all local functions of `udf` over `input`.
+///
+/// There is one schedule: each run of consecutive map stages (one or more)
+/// fuses into one wave of block-sized tasks, and each reduce stage runs a
+/// pipelined shuffle (RunPipelinedShuffle) into ctx.num_reduce_tasks
+/// buckets (derived from the stage input when 0). Each fused map group and
+/// each reduce stage opens a "stage:<name>" span under ctx.parent_span
+/// (fused names joined with '+'). Task granularity never changes results:
+/// stage outputs are merged in a deterministic order.
 ///
 /// \param[out] output  the final stage's output table (named later by caller)
 /// \param[out] stages  optional per-stage accounting
@@ -57,7 +43,7 @@ Status RunLocalFunctions(const udf::UdfDefinition& udf,
                          const storage::Table& input,
                          const udf::Params& params, storage::Table* output,
                          std::vector<LfStageRun>* stages = nullptr,
-                         const UdfExecOptions& exec_options = {});
+                         const TaskCtx& ctx = {});
 
 }  // namespace opd::exec
 

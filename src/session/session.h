@@ -44,8 +44,6 @@ struct ObsOptions {
   bool tracing = false;
   /// Publish counters/gauges/histograms into obs::MetricRegistry::Global().
   bool metrics = true;
-  /// Emit per-task spans inside traced phases (tracing only).
-  bool trace_tasks = true;
 };
 
 /// Serving-layer knobs (admission control and scheduling of concurrent
@@ -99,7 +97,6 @@ struct SessionOptions {
   SessionOptions Resolve() const {
     SessionOptions r = *this;
     r.engine.metrics = r.obs.metrics;
-    r.engine.trace_tasks = r.obs.trace_tasks;
     return r;
   }
 };

@@ -315,7 +315,7 @@ void ExpectBoundaryIdentity(const udf::UdfDefinition& def) {
   ThreadPool pool(4);
   for (bool pooled : {false, true}) {
     SCOPED_TRACE(pooled ? "pool of 4, small splits" : "serial");
-    exec::UdfExecOptions opts;
+    exec::TaskCtx opts;
     if (pooled) {
       opts.pool = &pool;
       opts.block_size_bytes = 4096;
@@ -412,7 +412,6 @@ class ServingNoRowCache : public ::testing::Test {
   }
 
   void ExpectPublishedStatsMatchOracle() {
-    const exec::EngineOptions& engine = bed_->config().session.engine;
     const auto views = bed_->views().All();
     ASSERT_FALSE(views.empty());
     for (const catalog::ViewDefinition* def : views) {
@@ -421,8 +420,8 @@ class ServingNoRowCache : public ::testing::Test {
       ASSERT_TRUE(table.ok()) << table.status().ToString();
       ExpectStatsEq(def->stats,
                     ReferenceStats((*table)->rows(), (*table)->schema(),
-                                   engine.stats_sample_fraction,
-                                   engine.stats_seed));
+                                   exec::kStatsSampleFraction,
+                                   exec::kStatsSeed));
     }
   }
 

@@ -80,11 +80,9 @@ TEST(SessionTest, TracingProducesQueryRootedSpans) {
 TEST(SessionTest, ObsOptionsMirrorIntoEngineOptions) {
   SessionOptions options;
   options.obs.metrics = false;
-  options.obs.trace_tasks = false;
   auto session = Session::Create(options);
   ASSERT_TRUE(session.ok());
   EXPECT_FALSE((*session)->options().engine.metrics);
-  EXPECT_FALSE((*session)->options().engine.trace_tasks);
 }
 
 // Masks every number (and byte-unit suffix) so the golden pins the layout

@@ -321,7 +321,7 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   EXPECT_TRUE(reference::SameRows(*want, serial_out.rows()));
 
   ThreadPool pool(4);
-  exec::UdfExecOptions opts;
+  exec::TaskCtx opts;
   opts.pool = &pool;
   opts.block_size_bytes = 256;  // force multiple fused map tasks
   Table fused_out;
