@@ -313,8 +313,7 @@ RewritePass RunRewritePass(workload::TestBed* bed, size_t n_tweets,
 }
 
 std::unique_ptr<workload::TestBed> MakeRewriteBed(size_t n_tweets,
-                                                  int num_threads,
-                                                  bool log_decisions) {
+                                                  int num_threads) {
   workload::TestBedConfig config;
   config.data.n_tweets = n_tweets;
   config.data.n_checkins = n_tweets / 2;
@@ -322,7 +321,6 @@ std::unique_ptr<workload::TestBed> MakeRewriteBed(size_t n_tweets,
   config.calibrate_udfs = false;
   config.session.engine.collect_stats = true;  // feeds the residual metrics
   config.session.engine.num_threads = num_threads;
-  config.session.rewrite.log_decisions = log_decisions;
   auto bed_result = workload::TestBed::Create(config);
   if (!bed_result.ok()) std::abort();
   return std::move(bed_result).value();
@@ -332,24 +330,12 @@ std::unique_ptr<workload::TestBed> MakeRewriteBed(size_t n_tweets,
 // exercises the paper's actual reuse loop. A cold pass materializes the
 // opportunistic views, a warm pass over the same plans rewrites against
 // them; the record carries the view/decision/residual observability the
-// cold-only record cannot produce, plus the decision-logging overhead
-// (warm-pass wall with the DecisionLog on vs off).
+// cold-only record cannot produce.
 void PrintWarmRewriteRecord(size_t n_tweets, int iterations, int hw_cores,
                             int num_threads) {
-  auto bed = MakeRewriteBed(n_tweets, num_threads, /*log_decisions=*/true);
+  auto bed = MakeRewriteBed(n_tweets, num_threads);
   const RewritePass cold = RunRewritePass(bed.get(), n_tweets, 1);
   const RewritePass warm = RunRewritePass(bed.get(), n_tweets, iterations);
-
-  auto unlogged =
-      MakeRewriteBed(n_tweets, num_threads, /*log_decisions=*/false);
-  RunRewritePass(unlogged.get(), n_tweets, 1);  // cold: populate the store
-  const RewritePass warm_unlogged =
-      RunRewritePass(unlogged.get(), n_tweets, iterations);
-  const double overhead_pct =
-      warm_unlogged.wall_ms > 0
-          ? 100.0 * (warm.wall_ms - warm_unlogged.wall_ms) /
-                warm_unlogged.wall_ms
-          : 0;
 
   exec::ExecMetrics total = cold.metrics;
   total += warm.metrics;
@@ -379,7 +365,6 @@ void PrintWarmRewriteRecord(size_t n_tweets, int iterations, int hw_cores,
   w.Key("pruned_by_bound").UInt(warm.decisions.pruned_by_bound);
   w.EndObject();
   w.Key("max_residual_pct").Double(max_resid);
-  w.Key("decision_log_overhead_pct").Double(overhead_pct);
   w.Key("output_hash").UInt(warm.ordered_hash);
   // Row *sets* must match; a rewritten plan may emit rows in another order.
   w.Key("outputs_match_cold_pass")
@@ -529,8 +514,7 @@ int RunJsonMode(const char* trace_path) {
 // scripts/lint_metrics.py diffs this against the metric-name literals in
 // src/ to catch dead or misnamed metrics.
 int RunDumpMetricsMode() {
-  auto bed = MakeRewriteBed(/*n_tweets=*/2000, /*num_threads=*/2,
-                            /*log_decisions=*/true);
+  auto bed = MakeRewriteBed(/*n_tweets=*/2000, /*num_threads=*/2);
   constexpr size_t kTweets = 2000;
   RunRewritePass(bed.get(), kTweets, 1);  // cold: create views
   RunRewritePass(bed.get(), kTweets, 1);  // warm: rewrite hits, residuals

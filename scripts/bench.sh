@@ -141,9 +141,7 @@ else:
     print(f"bench --check: warm_rewrite views_created="
           f"{warm.get('views_created')} accepted="
           f"{warm.get('rewrite_decisions', {}).get('accepted')} "
-          f"max_residual_pct={warm.get('max_residual_pct'):.1f} "
-          f"decision_log_overhead_pct="
-          f"{warm.get('decision_log_overhead_pct'):.1f}")
+          f"max_residual_pct={warm.get('max_residual_pct'):.1f}")
 
 pipelined = modes.get("pipelined")
 if pipelined is None:

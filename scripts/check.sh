@@ -16,7 +16,7 @@
 # recycling on/off, checked against the reference interpreter), the
 # hash-recycler suites (the recycle-on/off x thread-count matrix, the
 # zero-budget switch, and concurrent tenants racing lookups/inserts on the
-# shared recycler), and the query-log suite (concurrent appends racing lock-free ring snapshots,
+# shared recycler), and the query-log suite (concurrent appends racing ring snapshots,
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
 # ServerStress), the columnar-boundary suites (view stats sampled in
 # each job's tail, which runs on pool threads concurrently under the DAG

@@ -1,7 +1,6 @@
 #include "obs/query_log.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/json_writer.h"
 #include "obs/metrics.h"
@@ -43,53 +42,24 @@ std::string QueryRecord::ToJson() const {
 
 QueryLog::QueryLog(const Options& options)
     : options_(options), slots_(options.capacity > 0 ? options.capacity : 1) {
-  for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
   if (!options_.jsonl_path.empty()) {
     sink_.open(options_.jsonl_path, std::ios::out | std::ios::app);
   }
 }
 
-QueryLog::~QueryLog() {
-  // No concurrent access past destruction by contract.
-  for (auto& slot : slots_) {
-    delete slot.load(std::memory_order_relaxed);
-  }
-  for (const QueryRecord* rec : retired_) delete rec;
-}
-
-void QueryLog::ReclaimRetired(bool force) {
-  // Called under mu_. The seq_cst counter read pairs with the seq_cst slot
-  // exchange that retired these records: any reader that could still hold
-  // a retired pointer either shows up in the counter (keep the records) or
-  // started after the exchange and can only load the replacement.
-  if (force) {
-    while (readers_in_flight_.load(std::memory_order_seq_cst) != 0) {
-      std::this_thread::yield();
-    }
-  } else if (readers_in_flight_.load(std::memory_order_seq_cst) != 0) {
-    return;
-  }
-  for (const QueryRecord* rec : retired_) delete rec;
-  retired_.clear();
-}
-
 void QueryLog::Append(const QueryRecord& record) {
-  const QueryRecord* rec = new QueryRecord(record);
+  auto rec = std::make_shared<const QueryRecord>(record);
+  const std::string line =
+      options_.jsonl_path.empty() ? std::string() : record.ToJson();
   bool overwrote = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t seq = next_seq_++;
-    auto& slot = slots_[seq % slots_.size()];
-    // Publishes the new record and retires the one it overwrites. Retired
-    // records are reclaimed only when no reader is in flight; readers that
-    // already loaded the old pointer stay safe until then.
-    const QueryRecord* old = slot.exchange(rec, std::memory_order_seq_cst);
-    overwrote = old != nullptr;
-    if (old != nullptr) retired_.push_back(old);
-    // Backstop: a reader storm may keep deferring reclamation; past 4x
-    // capacity, wait the (short, wait-free) readers out rather than grow.
-    ReclaimRetired(/*force=*/retired_.size() >= 4 * slots_.size());
-    if (sink_.is_open()) sink_ << record.ToJson() << "\n" << std::flush;
+    std::shared_ptr<const QueryRecord>& slot =
+        slots_[next_seq_++ % slots_.size()];
+    overwrote = slot != nullptr;
+    // A reader holding the overwritten record keeps it alive.
+    slot = std::move(rec);
+    if (sink_.is_open()) sink_ << line << "\n" << std::flush;
   }
   appended_.fetch_add(1, std::memory_order_relaxed);
   if (overwrote) dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -107,7 +77,7 @@ void QueryLog::CaptureSlow(SlowQueryProfile profile) {
     std::lock_guard<std::mutex> lock(slow_mu_);
     profiles_.push_back(std::move(profile));
     profile_bytes_ += bytes;
-    while (profile_bytes_ > options_.slow_capture_budget_bytes &&
+    while (profile_bytes_ > kSlowCaptureBudgetBytes &&
            !profiles_.empty()) {
       profile_bytes_ -= profiles_.front().ByteSize();
       profiles_.pop_front();
@@ -128,18 +98,12 @@ void QueryLog::CaptureSlow(SlowQueryProfile profile) {
 }
 
 std::vector<std::shared_ptr<const QueryRecord>> QueryLog::Snapshot() const {
-  // Lock-free read: one atomic load per slot under the reader guard.
-  // Records are immutable once published, so a snapshot taken mid-append
-  // sees each slot either before or after its overwrite — never a torn
-  // record — and the guard keeps every loaded record un-reclaimed while it
-  // is copied out.
   std::vector<std::shared_ptr<const QueryRecord>> out;
-  out.reserve(slots_.size());
   {
-    ReaderGuard guard(readers_in_flight_);
-    for (const auto& slot : slots_) {
-      const QueryRecord* rec = slot.load(std::memory_order_seq_cst);
-      if (rec != nullptr) out.push_back(std::make_shared<QueryRecord>(*rec));
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(slots_.size());
+    for (const auto& rec : slots_) {
+      if (rec != nullptr) out.push_back(rec);
     }
   }
   // Slots wrap, so slot order is not age order; tickets are monotone in
@@ -158,12 +122,9 @@ std::vector<std::shared_ptr<const QueryRecord>> QueryLog::Snapshot() const {
 }
 
 std::shared_ptr<const QueryRecord> QueryLog::Find(uint64_t ticket) const {
-  ReaderGuard guard(readers_in_flight_);
-  for (const auto& slot : slots_) {
-    const QueryRecord* rec = slot.load(std::memory_order_seq_cst);
-    if (rec != nullptr && rec->ticket == ticket) {
-      return std::make_shared<QueryRecord>(*rec);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& rec : slots_) {
+    if (rec != nullptr && rec->ticket == ticket) return rec;
   }
   return nullptr;
 }

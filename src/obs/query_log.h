@@ -6,19 +6,12 @@
 // and why" across every tenant (DESIGN.md §3, "Introspection & query
 // history").
 //
-// Concurrency: the ring is lock-free for readers. Each slot is an
-// std::atomic<const QueryRecord*> over immutable records; Snapshot()/Find()
-// bump a reader in-flight counter, perform atomic slot loads, and copy the
-// records out — they never take the append mutex, so a stalled reader
-// cannot block query completion (and vice versa). Appends are serialized by
-// a writer mutex (they also feed the JSONL sink, which must stay in append
-// order); an overwritten record is retired, not freed — the writer reclaims
-// retired records only when the in-flight counter reads zero, so no reader
-// ever dereferences a freed record (all four handoff operations are seq_cst
-// to rule out the store-buffer reordering where the writer misses a fresh
-// reader AND that reader still loads the retired slot). Slow-query profiles
-// live behind their own mutex — they are big, rare, and read by humans, not
-// hot paths.
+// Concurrency: the ring holds shared_ptrs to immutable records under one
+// mutex, which also serializes appends (they feed the JSONL sink, which
+// must stay in append order). Snapshot()/Find() copy pointers under that
+// mutex, so a record a reader holds outlives its overwrite. Slow-query
+// profiles live behind their own mutex — they are big, rare, and read by
+// humans, not hot paths.
 
 #ifndef OPD_OBS_QUERY_LOG_H_
 #define OPD_OBS_QUERY_LOG_H_
@@ -113,11 +106,12 @@ class QueryLog {
     /// Queries with wall_time_s >= threshold get a full profile captured;
     /// negative disables capture entirely.
     double slow_threshold_s = -1.0;
-    /// Byte budget for retained profiles; oldest-first eviction.
-    size_t slow_capture_budget_bytes = 4u << 20;
     /// When set, the log maintains `server.querylog.*` counters/gauges.
     MetricRegistry* registry = nullptr;
   };
+
+  /// Byte budget for retained slow-query profiles; oldest-first eviction.
+  static constexpr size_t kSlowCaptureBudgetBytes = 4u << 20;
 
   struct Stats {
     uint64_t appended = 0;       ///< Records ever appended.
@@ -128,7 +122,6 @@ class QueryLog {
   };
 
   explicit QueryLog(const Options& options);
-  ~QueryLog();
 
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
@@ -148,9 +141,8 @@ class QueryLog {
   /// (counted captured then evicted) rather than blowing the bound.
   void CaptureSlow(SlowQueryProfile profile);
 
-  /// The retained records, oldest first (copies — safe to hold across
-  /// later appends). Lock-free with respect to appenders: readers only
-  /// bump the in-flight counter and perform atomic slot loads.
+  /// The retained records, oldest first (shared, immutable — safe to hold
+  /// across later appends).
   std::vector<std::shared_ptr<const QueryRecord>> Snapshot() const;
 
   /// The retained record with the given admission ticket, or nullptr.
@@ -163,41 +155,14 @@ class QueryLog {
   size_t capacity() const { return options_.capacity; }
 
  private:
-  // RAII reader registration: entered before any slot load, left after the
-  // last dereference of a loaded record.
-  class ReaderGuard {
-   public:
-    explicit ReaderGuard(const std::atomic<uint64_t>& counter)
-        : counter_(const_cast<std::atomic<uint64_t>&>(counter)) {
-      counter_.fetch_add(1, std::memory_order_seq_cst);
-    }
-    ~ReaderGuard() { counter_.fetch_sub(1, std::memory_order_seq_cst); }
-    ReaderGuard(const ReaderGuard&) = delete;
-    ReaderGuard& operator=(const ReaderGuard&) = delete;
-
-   private:
-    std::atomic<uint64_t>& counter_;
-  };
-
-  // Frees retired records when no reader is in flight; called under mu_.
-  // When `force`, waits (yielding) for readers to drain first — the
-  // backstop that bounds retired_ against a pathological reader storm.
-  void ReclaimRetired(bool force);
-
   const Options options_;
 
+  mutable std::mutex mu_;  // serializes Append; guards slots_, seq, sink
   // Ring slots; slot i holds the record with sequence s where
-  // s % capacity == i. Records are heap-allocated, immutable once
-  // published, owned by the slot until overwritten and by retired_ after.
-  // Readers load atomically under a ReaderGuard; writers exchange under
-  // mu_.
-  std::vector<std::atomic<const QueryRecord*>> slots_;
-  mutable std::atomic<uint64_t> readers_in_flight_{0};
-
-  mutable std::mutex mu_;        // serializes Append (slots + sink + seq)
-  uint64_t next_seq_ = 0;        // under mu_
-  std::vector<const QueryRecord*> retired_;  // overwritten, await reclaim
-  std::ofstream sink_;           // under mu_
+  // s % capacity == i.
+  std::vector<std::shared_ptr<const QueryRecord>> slots_;
+  uint64_t next_seq_ = 0;
+  std::ofstream sink_;
   std::atomic<uint64_t> appended_{0};
   std::atomic<uint64_t> dropped_{0};
 

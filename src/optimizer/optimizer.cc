@@ -10,11 +10,18 @@ using plan::OpNode;
 
 namespace {
 
+// Selectivity defaults used when no better statistics exist.
+constexpr double kCmpSelectivity = 0.33;
+constexpr double kEqSelectivity = 0.05;
+constexpr double kOpaqueSelectivity = 0.5;
+// Width assumed for derived columns with no better information.
+constexpr double kDefaultColBytes = 8.0;
+
 double SumWidths(const OpNode& node) {
   double total = 0;
   for (const auto& col : node.out_schema.columns()) {
     auto it = node.est_col_bytes.find(col.name);
-    total += it == node.est_col_bytes.end() ? 8.0 : it->second;
+    total += it == node.est_col_bytes.end() ? kDefaultColBytes : it->second;
   }
   return total;
 }
@@ -50,7 +57,7 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
       node->est_rows = stats->rows;
       for (const auto& col : node->out_schema.columns()) {
         node->est_col_bytes[col.name] =
-            stats->ColBytesOr(col.name, options_.default_col_bytes);
+            stats->ColBytesOr(col.name, kDefaultColBytes);
         node->est_distinct[col.name] = stats->DistinctOr(col.name, stats->rows);
       }
       break;
@@ -61,7 +68,7 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
       for (const std::string& name : node->project) {
         auto wb = child.est_col_bytes.find(name);
         node->est_col_bytes[name] =
-            wb == child.est_col_bytes.end() ? options_.default_col_bytes
+            wb == child.est_col_bytes.end() ? kDefaultColBytes
                                             : wb->second;
         auto d = child.est_distinct.find(name);
         node->est_distinct[name] =
@@ -71,10 +78,10 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
     }
     case OpKind::kFilter: {
       const OpNode& child = *node->children[0];
-      double sel = options_.opaque_selectivity;
+      double sel = kOpaqueSelectivity;
       if (node->filter.kind == plan::FilterCond::Kind::kCompare) {
-        sel = node->filter.op == afk::CmpOp::kEq ? options_.eq_selectivity
-                                                 : options_.cmp_selectivity;
+        sel = node->filter.op == afk::CmpOp::kEq ? kEqSelectivity
+                                                 : kCmpSelectivity;
       }
       node->est_rows = child.est_rows * sel;
       node->est_col_bytes = child.est_col_bytes;
@@ -102,7 +109,7 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
         if (!node->est_col_bytes.count(col.name)) {
           auto wb = right.est_col_bytes.find(col.name);
           node->est_col_bytes[col.name] =
-              wb == right.est_col_bytes.end() ? options_.default_col_bytes
+              wb == right.est_col_bytes.end() ? kDefaultColBytes
                                               : wb->second;
           auto d = right.est_distinct.find(col.name);
           node->est_distinct[col.name] =
@@ -123,7 +130,7 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
       for (const std::string& key : node->group.keys) {
         auto wb = child.est_col_bytes.find(key);
         node->est_col_bytes[key] = wb == child.est_col_bytes.end()
-                                       ? options_.default_col_bytes
+                                       ? kDefaultColBytes
                                        : wb->second;
         auto d = child.est_distinct.find(key);
         node->est_distinct[key] =
@@ -147,8 +154,8 @@ Status Optimizer::EstimateNode(plan::OpNode* node) const {
         } else {
           node->est_col_bytes[col.name] =
               col.type == storage::DataType::kString
-                  ? 2 * options_.default_col_bytes
-                  : options_.default_col_bytes;
+                  ? 2 * kDefaultColBytes
+                  : kDefaultColBytes;
         }
         auto d = child.est_distinct.find(col.name);
         node->est_distinct[col.name] =

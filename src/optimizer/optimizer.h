@@ -18,21 +18,11 @@
 
 namespace opd::optimizer {
 
-/// Selectivity defaults used when no better statistics exist.
-struct OptimizerOptions {
-  double cmp_selectivity = 0.33;
-  double eq_selectivity = 0.05;
-  double opaque_selectivity = 0.5;
-  /// Width assumed for derived columns with no better information.
-  double default_col_bytes = 8.0;
-};
-
 /// \brief Annotates plans and produces per-node cost estimates.
 class Optimizer {
  public:
-  Optimizer(plan::AnnotationContext ctx, CostModel model,
-            OptimizerOptions options = {})
-      : ctx_(ctx), model_(model), options_(options) {}
+  Optimizer(plan::AnnotationContext ctx, CostModel model)
+      : ctx_(ctx), model_(model) {}
 
   /// Annotates (AFK + schema), estimates cardinalities, and costs every node
   /// of `plan`. Idempotent; resets previous estimates.
@@ -43,7 +33,6 @@ class Optimizer {
 
   const CostModel& cost_model() const { return model_; }
   const plan::AnnotationContext& context() const { return ctx_; }
-  const OptimizerOptions& options() const { return options_; }
 
  private:
   Status EstimateNode(plan::OpNode* node) const;
@@ -51,7 +40,6 @@ class Optimizer {
 
   plan::AnnotationContext ctx_;
   CostModel model_;
-  OptimizerOptions options_;
 };
 
 }  // namespace opd::optimizer

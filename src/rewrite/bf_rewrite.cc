@@ -26,10 +26,10 @@ struct SearchState {
   std::vector<plan::OpNodePtr> best_plan;
   std::vector<double> best_cost;
   std::vector<ViewFinder> finders;
+  /// Per target, the index in its finder's popped() of the last candidate
+  /// whose rewrite improved the target (the accepted one), or -1.
+  std::vector<int> accepted;
   RewriteStats* stats = nullptr;
-  /// Decision audit trail; null when RewriteOptions::log_decisions is off.
-  /// targets is pre-sized to the DAG, so element pointers stay stable.
-  DecisionLog* log = nullptr;
   std::chrono::steady_clock::time_point start;
 
   double Elapsed() const {
@@ -91,27 +91,8 @@ struct SearchState {
     OPD_RETURN_NOT_OK(finders[i].status());
     const bool improves =
         result.has_value() && result->cost + kEps < best_cost[i];
-    if (log != nullptr && result.has_value()) {
-      // Refine() appended the decision for the candidate it just popped;
-      // only the search loop knows whether the rewrite actually beat the
-      // target's running best.
-      TargetDecision& td = log->targets[static_cast<size_t>(i)];
-      CandidateDecision& cd = td.candidates.back();
-      if (improves) {
-        // Demote the previously accepted candidate (if any): it is no
-        // longer cheaper than the best, which is this one's definition of
-        // rejection. Keeps the invariant "at most one accepted per target".
-        for (CandidateDecision& prev : td.candidates) {
-          if (&prev != &cd && prev.reject == RejectReason::kNone) {
-            prev.reject = RejectReason::kNotCostImproving;
-          }
-        }
-        td.chosen_id = cd.candidate_id;
-      } else {
-        cd.reject = RejectReason::kNotCostImproving;
-      }
-    }
     if (improves) {
+      accepted[i] = static_cast<int>(finders[i].popped().size()) - 1;
       best_cost[i] = result->cost;
       best_plan[i] = result->plan.root();
       if (i == dag->sink()) RecordSinkImprovement();
@@ -147,6 +128,25 @@ struct SearchState {
   }
 };
 
+/// Mirrors one search's effort into the process-wide registry, so
+/// cumulative search effort is visible across queries.
+void PublishSearchCounters(const RewriteStats& stats, uint64_t memo_hits,
+                           uint64_t memo_misses) {
+  auto& registry = obs::MetricRegistry::Global();
+  static obs::Counter& candidates =
+      registry.counter("rewrite.candidates_considered");
+  static obs::Counter& attempts = registry.counter("rewrite.attempts");
+  static obs::Counter& found = registry.counter("rewrite.found");
+  static obs::Counter& hits = registry.counter("rewrite.viewfinder.memo_hit");
+  static obs::Counter& misses =
+      registry.counter("rewrite.viewfinder.memo_miss");
+  candidates.Inc(stats.candidates_considered);
+  attempts.Inc(stats.rewrite_attempts);
+  found.Inc(stats.rewrites_found);
+  hits.Inc(memo_hits);
+  misses.Inc(memo_misses);
+}
+
 }  // namespace
 
 Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
@@ -181,20 +181,16 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
   state.best_plan.resize(n);
   state.best_cost.resize(n);
   state.finders.resize(n);
-  if (options_.log_decisions) {
-    outcome.decisions.targets.resize(n);
-    state.log = &outcome.decisions;
-  }
-  auto& registry = obs::MetricRegistry::Global();
+  state.accepted.assign(n, -1);
+  outcome.decisions.targets.resize(n);
+  uint64_t memo_hits = 0;
   for (size_t i = 0; i < n; ++i) {
     state.best_plan[i] = dag.job(i).op;
     state.best_cost[i] = dag.TargetCost(i);
-    if (state.log != nullptr) {
-      TargetDecision& td = state.log->targets[i];
-      td.target_index = static_cast<int>(i);
-      td.target_op = dag.job(i).op->DisplayName();
-      td.original_cost = state.best_cost[i];
-    }
+    TargetDecision& td = outcome.decisions.targets[i];
+    td.target_index = static_cast<int>(i);
+    td.target_op = dag.job(i).op->DisplayName();
+    td.original_cost = state.best_cost[i];
     // Target-side setup is memoized on the subplan fingerprint (see
     // bf_rewrite.h): repeated structurally identical targets skip the
     // TargetContext derivation and the useful-signature computation.
@@ -210,25 +206,21 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
       }
     }
     if (!hit) {
-      entry.target = MakeTargetContext(dag.job(i).op, options_);
+      entry.target = MakeTargetContext(dag.job(i).op);
       entry.useful_sigs = UsefulSignatures(entry.target.afk);
       std::lock_guard<std::mutex> lock(memo_mu_);
       target_memo_.emplace(fp, entry);
     }
-    registry
-        .counter(hit ? "rewrite.viewfinder.memo_hit"
-                     : "rewrite.viewfinder.memo_miss")
-        .Inc();
+    memo_hits += hit ? 1 : 0;
     state.finders[i].Init(std::move(entry.target), deps, all_views,
-                          &outcome.stats, std::move(entry.useful_sigs),
-                          state.log != nullptr ? &state.log->targets[i]
-                                               : nullptr);
+                          std::move(entry.useful_sigs));
   }
   outcome.original_cost = state.best_cost[dag.sink()];
   outcome.stats.convergence.emplace_back(0.0, outcome.original_cost);
 
   // Algorithm 1: main loop.
   constexpr size_t kMaxIterations = 10'000'000;
+  Status search_status;
   for (size_t iter = 0; iter < kMaxIterations; ++iter) {
     auto [target, d] = state.FindNextMinTarget(dag.sink());
     if (target == -1) break;
@@ -236,18 +228,24 @@ Result<RewriteOutcome> BfRewriter::Rewrite(plan::Plan* plan,
                               "round:" + std::to_string(iter), "rewrite");
     round_span.AddArg("target", static_cast<int64_t>(target));
     round_span.AddArg("peek_cost", d);
-    OPD_RETURN_NOT_OK(state.RefineTarget(target));
+    search_status = state.RefineTarget(target);
+    if (!search_status.ok()) break;
     round_span.AddArg("best_cost", state.best_cost[dag.sink()]);
   }
 
-  if (state.log != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      state.finders[i].DrainPrunedDecisions();
-      TargetDecision& td = state.log->targets[i];
-      td.best_cost = state.best_cost[i];
-      td.predicted_benefit_s =
-          std::max(td.original_cost - td.best_cost, 0.0);
-    }
+  // The search effort, derived from the finders, is published to the
+  // process-wide registry once per search, failed ones included.
+  for (const ViewFinder& finder : state.finders) {
+    finder.AddStats(&outcome.stats);
+  }
+  PublishSearchCounters(outcome.stats, memo_hits, n - memo_hits);
+  OPD_RETURN_NOT_OK(search_status);
+
+  for (size_t i = 0; i < n; ++i) {
+    TargetDecision& td = outcome.decisions.targets[i];
+    td.best_cost = state.best_cost[i];
+    td.predicted_benefit_s = std::max(td.original_cost - td.best_cost, 0.0);
+    state.finders[i].RecordDecisions(state.accepted[i], &td);
   }
   outcome.plan = plan::Plan(state.best_plan[dag.sink()], plan->name());
   outcome.est_cost = state.best_cost[dag.sink()];

@@ -64,8 +64,8 @@ class BfRewriter {
   /// Per-target setup cache, keyed by the target subplan's fingerprint.
   /// Analysts re-run structurally identical (sub)queries constantly, and
   /// the target side of ViewFinder::Init — the TargetContext and its
-  /// useful-signature set — depends only on the subplan and the fixed
-  /// RewriteOptions, never on the (growing) view store, so it is safe to
+  /// useful-signature set — depends only on the subplan, never on the
+  /// (growing) view store, so it is safe to
   /// reuse across Rewrite() calls. Hits/misses are published as
   /// `rewrite.viewfinder.memo_hit` / `..._miss`. Guarded by `memo_mu_`
   /// (Rewrite is const and may run from concurrent sessions).

@@ -66,6 +66,8 @@ const char* RejectReasonCode(RejectReason reason) {
 DecisionCounts DecisionLog::Counts() const {
   DecisionCounts counts;
   for (const TargetDecision& t : targets) {
+    counts.candidates += t.signature_mismatch;
+    counts.signature_mismatch += t.signature_mismatch;
     for (const CandidateDecision& c : t.candidates) {
       counts.candidates += 1;
       switch (c.reject) {
@@ -106,6 +108,10 @@ std::string DecisionLog::ToText() const {
       out += "original plan";
     }
     out += "\n";
+    if (t.signature_mismatch > 0) {
+      out += "    " + std::to_string(t.signature_mismatch) +
+             " views  rejected: signature_mismatch (no useful attributes)\n";
+    }
     for (const CandidateDecision& c : t.candidates) {
       std::string id = c.candidate_id;
       if (id.size() < 12) id.append(12 - id.size(), ' ');
@@ -136,6 +142,7 @@ std::string DecisionLog::ToJson() const {
     w.Key("best_cost_s").Double(t.best_cost);
     w.Key("chosen").String(t.chosen_id);
     w.Key("predicted_benefit_s").Double(t.predicted_benefit_s);
+    w.Key("signature_mismatch").UInt(t.signature_mismatch);
     w.Key("candidates").BeginArray();
     for (const CandidateDecision& c : t.candidates) {
       w.BeginObject();

@@ -1,10 +1,11 @@
-// Structured record of every decision the rewrite search makes: which
-// candidate views were enumerated for each target, why each was rejected
-// (machine-readable reason codes), the OPTCOST ordering the search followed,
-// and the chosen rewrite with its predicted benefit. This is the audit trail
-// behind EXPLAIN REWRITE and the decision counts exported to the bench
-// trajectory — the paper claims BFREWRITE finds the *minimum-cost* rewrite;
-// the log is how that claim becomes inspectable per query.
+// Structured record of every decision the rewrite search makes: how many
+// views INIT excluded for each target, which candidate views reached the
+// queue, why each was rejected (machine-readable reason codes), the OPTCOST
+// ordering the search followed, and the chosen rewrite with its predicted
+// benefit. This is the audit trail behind EXPLAIN REWRITE and the decision
+// counts exported to the bench trajectory — the paper claims BFREWRITE finds
+// the *minimum-cost* rewrite; the log is how that claim becomes inspectable
+// per query.
 //
 // The search is serial (one ViewFinder refined at a time), so the log is
 // deterministic: byte-identical across thread counts and execution modes.
@@ -24,7 +25,8 @@ namespace opd::rewrite {
 /// JSON export and the bench records.
 enum class RejectReason {
   kNone = 0,            ///< not rejected (the accepted candidate)
-  kSignatureMismatch,   ///< shares no useful attribute with the target (INIT)
+  kSignatureMismatch,   ///< shares no useful attribute with the target
+                        ///< (INIT); counted per target, never a record
   kAfkContainment,      ///< GUESSCOMPLETE false, or REWRITEENUM found no
                         ///< exact-equivalence compensation
   kNotCostImproving,    ///< valid rewrite, but not cheaper than the best
@@ -34,15 +36,13 @@ enum class RejectReason {
 /// Stable snake_case code for `reason` ("accepted" for kNone).
 const char* RejectReasonCode(RejectReason reason);
 
-/// One candidate view (or merge of views) examined — or excluded — for one
-/// target.
+/// One candidate view (or merge of views) that reached a target's queue.
 struct CandidateDecision {
   /// Canonical candidate id: "+"-joined sorted view ids, e.g. "3+7".
   std::string candidate_id;
   int num_parts = 1;
-  /// OPTCOST estimate w.r.t. the target; negative when never costed
-  /// (signature-mismatch exclusions happen before costing).
-  double opt_cost = -1;
+  /// OPTCOST estimate w.r.t. the target.
+  double opt_cost = 0;
   bool guess_complete = false;
   bool rewrite_found = false;
   /// Cost of the found rewrite (valid when `rewrite_found`).
@@ -62,8 +62,11 @@ struct TargetDecision {
   /// original plan (a producer rewrite may still have lowered best_cost).
   std::string chosen_id;
   double predicted_benefit_s = 0;
-  /// Decisions in search order: INIT exclusions first, then refinements in
-  /// OPTCOST order, then bound-pruned leftovers.
+  /// Views INIT excluded because they share no useful attribute with the
+  /// target (RejectReason::kSignatureMismatch).
+  size_t signature_mismatch = 0;
+  /// Decisions in search order: refinements in OPTCOST order, then
+  /// bound-pruned leftovers.
   std::vector<CandidateDecision> candidates;
 };
 

@@ -54,8 +54,7 @@ struct EnumDeps {
 
 /// Extracts the target context (annotation + compensation ops) from an
 /// annotated target subtree.
-TargetContext MakeTargetContext(const plan::OpNodePtr& target_root,
-                                const RewriteOptions& options);
+TargetContext MakeTargetContext(const plan::OpNodePtr& target_root);
 
 /// Applies one compensation op symbolically; error Status if inapplicable in
 /// the current state.

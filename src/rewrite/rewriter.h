@@ -22,10 +22,6 @@ struct RewriteOptions {
   /// k: maximum number of times one operator instance may appear in a
   /// rewrite's compensation.
   int max_op_repetition = 2;
-  /// UDF names admitted as rewrite operators. Empty means "every UDF that
-  /// appears in the target plan" (those are by construction the most relevant
-  /// operators for compensating that target).
-  std::vector<std::string> rewrite_udfs;
   /// Ablation switch: when false, the ViewFinder queue degenerates to
   /// insertion order instead of OPTCOST order.
   bool use_optcost_ordering = true;
@@ -35,11 +31,6 @@ struct RewriteOptions {
   /// Safety caps for the exhaustive DP baseline.
   size_t dp_candidate_budget = 200000;
   double dp_time_budget_s = 300.0;
-  /// Record a per-target DecisionLog (candidates enumerated, reject reasons,
-  /// OPTCOST estimates, chosen rewrite) in the RewriteOutcome — the audit
-  /// trail behind EXPLAIN REWRITE. Cheap (one small record per candidate);
-  /// off reverts to the pre-observability behaviour.
-  bool log_decisions = true;
 };
 
 /// Search-effort counters (the paper's Figure 9 metrics).
@@ -68,9 +59,8 @@ struct RewriteOutcome {
   double original_cost = 0;
   bool improved = false;
   RewriteStats stats;
-  /// Per-target decision audit trail; populated by BFREWRITE when
-  /// RewriteOptions::log_decisions (empty otherwise, and for the baseline
-  /// rewriters).
+  /// Per-target decision audit trail, derived from the search state by
+  /// BFREWRITE (empty for the baseline rewriters).
   DecisionLog decisions;
 };
 

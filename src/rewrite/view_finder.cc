@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "rewrite/guess_complete.h"
 #include "rewrite/merge.h"
 #include "rewrite/opt_cost.h"
@@ -22,27 +21,18 @@ struct HeapGreater {
 
 void ViewFinder::Init(TargetContext target, EnumDeps deps,
                       const std::vector<const catalog::ViewDefinition*>& views,
-                      RewriteStats* stats,
-                      std::optional<std::vector<std::string>> useful_sigs,
-                      TargetDecision* decision) {
+                      std::optional<std::vector<std::string>> useful_sigs) {
   target_ = std::move(target);
   deps_ = std::move(deps);
-  stats_ = stats;
-  decision_ = decision;
   useful_sigs_ = useful_sigs ? std::move(*useful_sigs)
                              : UsefulSignatures(target_.afk);
+  signature_mismatch_ = 0;
   heap_.clear();
   seen_.clear();
   enqueued_.clear();
   for (const catalog::ViewDefinition* def : views) {
     if (!IsRelevant(def->afk, useful_sigs_)) {
-      if (decision_ != nullptr) {
-        CandidateDecision cd;
-        cd.candidate_id = std::to_string(def->id);
-        cd.num_parts = 1;
-        cd.reject = RejectReason::kSignatureMismatch;
-        decision_->candidates.push_back(std::move(cd));
-      }
+      ++signature_mismatch_;
       continue;
     }
     CandidateView c = MakeBaseCandidate(*def);
@@ -76,19 +66,6 @@ std::optional<EnumResult> ViewFinder::Refine() {
   std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{});
   CandidateView v = std::move(heap_.back());
   heap_.pop_back();
-  if (stats_ != nullptr) stats_->candidates_considered += 1;
-  CandidateDecision* cd = nullptr;
-  if (decision_ != nullptr) {
-    decision_->candidates.emplace_back();
-    cd = &decision_->candidates.back();
-    cd->candidate_id = v.Id();
-    cd->num_parts = static_cast<int>(v.NumParts());
-    cd->opt_cost = v.opt_cost;
-  }
-  // Mirror the per-search stats into the process-wide registry so cumulative
-  // search effort is visible across queries.
-  auto& registry = obs::MetricRegistry::Global();
-  registry.counter("rewrite.candidates_considered").Inc();
 
   // Grow the space: merge v with every previously-seen candidate. MiniCon-
   // style pruning: a merge is only created when each side contributes a
@@ -96,7 +73,8 @@ std::optional<EnumResult> ViewFinder::Refine() {
   // never enable a rewrite its parts could not). New candidates inherit v's
   // OPTCOST as a floor, preserving the monotone exploration order
   // Algorithm 4 relies on.
-  for (const CandidateView& s : seen_) {
+  for (const Popped& p : seen_) {
+    const CandidateView& s = p.view;
     Coverage combined = CoverageUnion(v.coverage, s.coverage);
     if (CoverageEqual(combined, v.coverage) ||
         CoverageEqual(combined, s.coverage)) {
@@ -108,53 +86,69 @@ std::optional<EnumResult> ViewFinder::Refine() {
       Push(std::move(*merged), v.opt_cost);
     }
   }
-  seen_.push_back(v);
+  seen_.push_back(Popped{std::move(v)});
+  Popped& popped = seen_.back();
 
   if (deps_.options.use_guess_complete_filter &&
-      !GuessComplete(target_.afk, v.afk)) {
-    if (cd != nullptr) cd->reject = RejectReason::kAfkContainment;
+      !GuessComplete(target_.afk, popped.view.afk)) {
     return std::nullopt;
   }
-  if (cd != nullptr) cd->guess_complete = true;
-  if (stats_ != nullptr) stats_->rewrite_attempts += 1;
-  registry.counter("rewrite.attempts").Inc();
-  auto result = RewriteEnum(target_, v, deps_);
+  popped.guess_complete = true;
+  auto result = RewriteEnum(target_, popped.view, deps_);
   if (!result.ok()) {
     status_ = result.status();
     return std::nullopt;
   }
   if (result.value().has_value()) {
-    if (stats_ != nullptr) {
-      stats_->rewrites_found += result.value()->rewrites_found;
-    }
-    registry.counter("rewrite.found").Inc(result.value()->rewrites_found);
-    if (cd != nullptr) {
-      cd->rewrite_found = true;
-      cd->rewrite_cost = result.value()->cost;
-    }
-  } else if (cd != nullptr) {
-    // GUESSCOMPLETE said maybe, the exact enumeration said no: a confirmed
-    // containment failure.
-    cd->reject = RejectReason::kAfkContainment;
+    popped.rewrites_found = result.value()->rewrites_found;
+    popped.rewrite_cost = result.value()->cost;
   }
   return std::move(result).value();
 }
 
-void ViewFinder::DrainPrunedDecisions() {
-  if (decision_ == nullptr) return;
-  std::vector<CandidateView> pending = heap_;
-  std::sort(pending.begin(), pending.end(),
+void ViewFinder::AddStats(RewriteStats* stats) const {
+  stats->candidates_considered += seen_.size();
+  for (const Popped& p : seen_) {
+    stats->rewrite_attempts += p.guess_complete ? 1 : 0;
+    stats->rewrites_found += p.rewrites_found;
+  }
+}
+
+void ViewFinder::RecordDecisions(int accepted, TargetDecision* td) {
+  td->signature_mismatch = signature_mismatch_;
+  td->candidates.reserve(seen_.size() + heap_.size());
+  for (size_t i = 0; i < seen_.size(); ++i) {
+    const Popped& p = seen_[i];
+    CandidateDecision cd;
+    cd.candidate_id = p.view.Id();
+    cd.num_parts = static_cast<int>(p.view.NumParts());
+    cd.opt_cost = p.view.opt_cost;
+    cd.guess_complete = p.guess_complete;
+    cd.rewrite_found = p.rewrites_found > 0;
+    cd.rewrite_cost = p.rewrite_cost;
+    if (static_cast<int>(i) == accepted) {
+      td->chosen_id = cd.candidate_id;
+    } else {
+      // A found rewrite that is not the accepted one did not (or no longer
+      // does) improve the target. Without one, GUESSCOMPLETE said no, or
+      // said maybe and the exact enumeration found no equivalence.
+      cd.reject = cd.rewrite_found ? RejectReason::kNotCostImproving
+                                   : RejectReason::kAfkContainment;
+    }
+    td->candidates.push_back(std::move(cd));
+  }
+  std::sort(heap_.begin(), heap_.end(),
             [](const CandidateView& a, const CandidateView& b) {
               if (a.opt_cost != b.opt_cost) return a.opt_cost < b.opt_cost;
               return a.parts < b.parts;
             });
-  for (const CandidateView& v : pending) {
+  for (const CandidateView& v : heap_) {
     CandidateDecision cd;
     cd.candidate_id = v.Id();
     cd.num_parts = static_cast<int>(v.NumParts());
     cd.opt_cost = v.opt_cost;
     cd.reject = RejectReason::kPrunedByBound;
-    decision_->candidates.push_back(std::move(cd));
+    td->candidates.push_back(std::move(cd));
   }
 }
 

@@ -28,29 +28,40 @@
 namespace opd::rewrite {
 
 /// \brief Incremental best-first searcher for rewrites of one target.
+///
+/// The finder's own state is the record of its search: INIT counts the
+/// views it excludes, every popped candidate keeps what REFINE did with it
+/// (in pop order), and the queue left over when the search ends holds the
+/// candidates the bound pruned. Callers derive RewriteStats and the
+/// TargetDecision from that state once the search is over.
 class ViewFinder {
  public:
+  /// A popped candidate and what REFINE did with it.
+  struct Popped {
+    CandidateView view;
+    /// Passed to REWRITEENUM (the GUESSCOMPLETE filter let it through, or
+    /// the filter is off).
+    bool guess_complete = false;
+    /// Valid rewrites REWRITEENUM found; 0 when none.
+    size_t rewrites_found = 0;
+    /// Cost of the cheapest found rewrite (valid when rewrites_found > 0).
+    double rewrite_cost = 0;
+  };
+
   ViewFinder() = default;
 
   /// INIT: seeds the queue with every relevant view in `views`, ordered by
-  /// OPTCOST w.r.t. the target.
+  /// OPTCOST w.r.t. the target, and counts the views that share no useful
+  /// attribute with it.
   ///
   /// `useful_sigs` optionally injects the target's precomputed useful
   /// signatures (they depend only on the target AFK, so callers that see
   /// the same subplan repeatedly — BfRewriter keys them by plan
   /// fingerprint — can skip recomputing them here).
-  ///
-  /// `decision` (optional, caller-owned, must outlive the finder) receives
-  /// the per-candidate audit trail: INIT records signature-mismatch
-  /// exclusions, REFINE records every pop with its OPTCOST and containment
-  /// outcome. The caller classifies accepted vs not-cost-improving (only it
-  /// knows the running best cost) and drains bound-pruned leftovers.
   void Init(TargetContext target, EnumDeps deps,
             const std::vector<const catalog::ViewDefinition*>& views,
-            RewriteStats* stats,
             std::optional<std::vector<std::string>> useful_sigs =
-                std::nullopt,
-            TargetDecision* decision = nullptr);
+                std::nullopt);
 
   /// PEEK: the OPTCOST of the next candidate, or +inf when exhausted.
   double Peek() const;
@@ -63,26 +74,33 @@ class ViewFinder {
 
   const Status& status() const { return status_; }
   bool exhausted() const { return heap_.empty(); }
-  size_t seen_size() const { return seen_.size(); }
+  /// Popped candidates, in pop order.
+  const std::vector<Popped>& popped() const { return seen_; }
 
-  /// Records every candidate still queued as pruned-by-bound (the search
-  /// ended before refining them), in deterministic (OPTCOST, size) order.
-  /// No-op without a decision sink; call once, when the search is over.
-  void DrainPrunedDecisions();
+  /// Adds this search's effort (pops, REWRITEENUM attempts, rewrites found)
+  /// to `stats`.
+  void AddStats(RewriteStats* stats) const;
+
+  /// Fills `td` with the search record: the signature-mismatch count, one
+  /// decision per popped candidate in pop order, then one pruned_by_bound
+  /// decision per candidate still queued, in (OPTCOST, parts) order. The
+  /// popped candidate at index `accepted` (or none, when negative) is the
+  /// accepted rewrite; every other found rewrite is not_cost_improving.
+  /// Sorts the queue in place: call once, when the search is over.
+  void RecordDecisions(int accepted, TargetDecision* td);
 
  private:
   void Push(CandidateView candidate, double floor_cost);
 
   TargetContext target_;
   EnumDeps deps_;
-  RewriteStats* stats_ = nullptr;
-  TargetDecision* decision_ = nullptr;
   Status status_;
   std::vector<std::string> useful_sigs_;
+  size_t signature_mismatch_ = 0;
 
   // Min-heap by (opt_cost, Id) for determinism.
   std::vector<CandidateView> heap_;
-  std::vector<CandidateView> seen_;
+  std::vector<Popped> seen_;
   // Signature membership is the only operation; ordered iteration is never
   // needed, so a hash set beats the former std::set.
   std::unordered_set<std::string> enqueued_;

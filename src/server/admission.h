@@ -30,9 +30,6 @@ class AdmissionController {
     int max_concurrent = 4;
     /// Max slots one tenant may hold (0 = unlimited).
     int per_tenant_quota = 0;
-    /// Fewest-running-tenant-first scheduling; false = strict global FIFO
-    /// (quota still enforced).
-    bool fair = true;
   };
 
   /// Aggregate gate statistics (consistent snapshot).
@@ -72,7 +69,8 @@ class AdmissionController {
     uint64_t ticket = 0;
   };
 
-  /// Grants free slots to eligible waiters per policy; caller holds mu_.
+  /// Grants free slots to eligible waiters, fewest-running tenant first;
+  /// caller holds mu_.
   /// Returns true if anyone was admitted (caller must notify).
   bool AdmitEligibleLocked();
   bool QuotaAllowsLocked(const std::string& tenant) const;

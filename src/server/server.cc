@@ -88,7 +88,7 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
   ctx.views = server->views_.get();
   ctx.udfs = server->udfs_.get();
   server->optimizer_ = std::make_unique<optimizer::Optimizer>(
-      ctx, optimizer::CostModel(options.cost), options.optimizer);
+      ctx, optimizer::CostModel(options.cost));
 
   // The serving path owns view publication: the engine hands each run's
   // retained views back (ExecResult::pending_views) and Run publishes them
@@ -118,7 +118,6 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
   server::AdmissionController::Options adm;
   adm.max_concurrent = options.server.max_concurrent_queries;
   adm.per_tenant_quota = options.server.per_tenant_quota;
-  adm.fair = options.server.fair_scheduling;
   server->admission_ = std::make_unique<server::AdmissionController>(adm);
 
   if (options.server.query_log_capacity > 0) {
@@ -126,7 +125,6 @@ Result<std::unique_ptr<Server>> Server::Create(SessionOptions options) {
     ql.capacity = options.server.query_log_capacity;
     ql.jsonl_path = options.server.query_log_path;
     ql.slow_threshold_s = options.server.slow_query_threshold_s;
-    ql.slow_capture_budget_bytes = options.server.slow_query_capture_bytes;
     ql.registry = options.obs.metrics ? &obs::MetricRegistry::Global() : nullptr;
     server->query_log_ = std::make_unique<obs::QueryLog>(ql);
   }

@@ -53,10 +53,6 @@ struct ServerOptions {
   int max_concurrent_queries = 4;
   /// Maximum queries one tenant may have running at once (0 = no quota).
   int per_tenant_quota = 0;
-  /// Pick the next admission round-robin across waiting tenants (the
-  /// tenant with the fewest running queries goes first, FIFO tie-break)
-  /// instead of strict global FIFO.
-  bool fair_scheduling = true;
   /// Byte budget of the shared hash-table recycler (HashStash-style reuse
   /// of built join/group-by tables across queries and tenants; see
   /// src/exec/hash/recycler.h). 0 turns recycling off: the server attaches
@@ -75,8 +71,6 @@ struct ServerOptions {
   /// full trace + decision log + EXPLAIN ANALYZE tree captured. Negative
   /// disables slow-query capture; 0.0 captures everything.
   double slow_query_threshold_s = -1.0;
-  /// Byte budget for retained slow-query profiles (oldest-first eviction).
-  size_t slow_query_capture_bytes = 4u << 20;
 };
 
 /// Every knob of a session/server, grouped by subsystem. The nested structs
@@ -84,7 +78,6 @@ struct ServerOptions {
 /// RewriteOptions, ...), so existing code keeps compiling.
 struct SessionOptions {
   optimizer::CostParams cost;
-  optimizer::OptimizerOptions optimizer;
   exec::EngineOptions engine;
   rewrite::RewriteOptions rewrite;
   ObsOptions obs;

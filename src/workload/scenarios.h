@@ -28,7 +28,7 @@ namespace opd::workload {
 
 struct TestBedConfig {
   DataGenConfig data;
-  /// Every subsystem knob (cost params, optimizer, engine, rewrite, obs),
+  /// Every subsystem knob (cost params, engine, rewrite, obs, server),
   /// consolidated under the session they configure.
   SessionOptions session;
   /// Calibrate UDF cost scalars on 1% samples at startup (Section 4.2).

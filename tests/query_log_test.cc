@@ -101,14 +101,15 @@ TEST(QueryLogTest, SlowCaptureEvictsOldestUnderByteBudget) {
   QueryLog::Options options;
   options.capacity = 8;
   options.slow_threshold_s = 0.0;
-  // Budget fits about two profiles of 1 KiB payload each.
-  options.slow_capture_budget_bytes = 2 * (sizeof(SlowQueryProfile) + 1 + 1024);
   QueryLog log(options);
   EXPECT_TRUE(log.ShouldCapture(0.0));
 
-  log.CaptureSlow(MakeProfile(1, 1024));
-  log.CaptureSlow(MakeProfile(2, 1024));
-  log.CaptureSlow(MakeProfile(3, 1024));  // evicts ticket 1
+  // Two profiles fill the budget exactly (1-byte tenant + payload).
+  const size_t payload =
+      QueryLog::kSlowCaptureBudgetBytes / 2 - sizeof(SlowQueryProfile) - 1;
+  log.CaptureSlow(MakeProfile(1, payload));
+  log.CaptureSlow(MakeProfile(2, payload));
+  log.CaptureSlow(MakeProfile(3, payload));  // evicts ticket 1
 
   EXPECT_FALSE(log.FindProfile(1).has_value());
   EXPECT_TRUE(log.FindProfile(2).has_value());
@@ -116,7 +117,7 @@ TEST(QueryLogTest, SlowCaptureEvictsOldestUnderByteBudget) {
   const QueryLog::Stats stats = log.stats();
   EXPECT_EQ(stats.slow_captured, 3u);
   EXPECT_EQ(stats.slow_evicted, 1u);
-  EXPECT_LE(stats.capture_bytes, options.slow_capture_budget_bytes);
+  EXPECT_EQ(stats.capture_bytes, QueryLog::kSlowCaptureBudgetBytes);
 }
 
 TEST(QueryLogTest, ThresholdSemantics) {
@@ -147,8 +148,8 @@ TEST(QueryLogTest, RegistryCountersTrackAppendsAndCaptures) {
   EXPECT_GT(registry.gauge("server.querylog.capture_bytes").value(), 0.0);
 }
 
-// Readers never take the append mutex; this is the pattern the TSan lane
-// exercises (scripts/check.sh runs this binary under -fsanitize=thread).
+// Readers and appenders share the ring mutex; this is the pattern the TSan
+// lane exercises (scripts/check.sh runs this binary under -fsanitize=thread).
 TEST(QueryLogStressTest, ConcurrentAppendAndSnapshot) {
   QueryLog::Options options;
   options.capacity = 16;

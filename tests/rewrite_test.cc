@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "catalog/catalog.h"
 #include "catalog/view_store.h"
@@ -196,7 +198,7 @@ TEST_F(RewriteTest, OptCostLowerBoundsEveryFoundRewrite) {
   Execute(WineQuery(0.8, 3));
   plan::Plan q = WineQuery(1.0, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   EnumDeps deps = Deps();
   size_t verified = 0;
   for (const auto* def : views_.All()) {
@@ -275,7 +277,7 @@ TEST_F(RewriteTest, RewriteEnumExactMatchIsBareScan) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   for (const auto* def : views_.All()) {
     if (!(def->afk == q.root()->afk)) continue;
     auto result = RewriteEnum(target, MakeBaseCandidate(*def), Deps());
@@ -294,7 +296,7 @@ TEST_F(RewriteTest, RewriteEnumCompensatesUdfThreshold) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(1.0, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   bool found = false;
   for (const auto* def : views_.All()) {
     if (!def->schema.Has("wine_score") || !def->schema.Has("cnt")) continue;
@@ -310,7 +312,7 @@ TEST_F(RewriteTest, RewriteEnumRejectsIncompatibleView) {
   Execute(WineQuery(1.0, 5));
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  TargetContext target = MakeTargetContext(q.root(), RewriteOptions{});
+  TargetContext target = MakeTargetContext(q.root());
   for (const auto* def : views_.All()) {
     if (!def->schema.Has("wine_score") || !def->schema.Has("cnt")) continue;
     // These joined views carry the >1.0 filter; the query wants >0.5.
@@ -326,11 +328,9 @@ TEST_F(RewriteTest, ViewFinderOrdersByOptCost) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(1.0, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
-  RewriteStats stats;
   ViewFinder finder;
   EnumDeps deps = Deps();
-  finder.Init(MakeTargetContext(q.root(), deps.options), deps, views_.All(),
-              &stats);
+  finder.Init(MakeTargetContext(q.root()), deps, views_.All());
   double prev = -1;
   int pops = 0;
   while (!finder.exhausted() && pops < 100) {
@@ -342,16 +342,17 @@ TEST_F(RewriteTest, ViewFinderOrdersByOptCost) {
     ++pops;
   }
   EXPECT_GT(pops, 0);
+  RewriteStats stats;
+  finder.AddStats(&stats);
   EXPECT_EQ(stats.candidates_considered, static_cast<size_t>(pops));
 }
 
 TEST_F(RewriteTest, ViewFinderPeekInfinityWhenExhausted) {
-  RewriteStats stats;
   ViewFinder finder;
   plan::Plan q = WineQuery(0.5, 5);
   ASSERT_TRUE(optimizer_->Prepare(&q).ok());
   EnumDeps deps = Deps();
-  finder.Init(MakeTargetContext(q.root(), deps.options), deps, {}, &stats);
+  finder.Init(MakeTargetContext(q.root()), deps, {});
   EXPECT_TRUE(std::isinf(finder.Peek()));
   EXPECT_FALSE(finder.Refine().has_value());
 }
@@ -491,8 +492,7 @@ TEST_F(RewriteTest, GuessCompleteHasNoFalseNegatives) {
     ASSERT_TRUE(dag.ok());
     EnumDeps deps = Deps();
     for (size_t i = 0; i < dag->size(); ++i) {
-      TargetContext target =
-          MakeTargetContext(dag->job(i).op, RewriteOptions{});
+      TargetContext target = MakeTargetContext(dag->job(i).op);
       for (const auto* def : views_.All()) {
         CandidateView c = MakeBaseCandidate(*def);
         if (GuessComplete(target.afk, c.afk)) continue;
@@ -559,18 +559,6 @@ TEST_F(RewriteTest, RejectReasonCodesAreStable) {
                "pruned_by_bound");
 }
 
-TEST_F(RewriteTest, DecisionLogEmptyWhenLoggingOff) {
-  Execute(WineQuery(0.5, 5));
-  RewriteOptions options;
-  options.log_decisions = false;
-  BfRewriter quiet(optimizer_.get(), &views_, options);
-  plan::Plan q = WineQuery(0.5, 5);
-  auto outcome = quiet.Rewrite(&q);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->improved);  // behaviour unchanged, log just absent
-  EXPECT_TRUE(outcome->decisions.targets.empty());
-}
-
 TEST_F(RewriteTest, DecisionLogAccountsForEveryCandidate) {
   Execute(WineQuery(0.5, 5));
   plan::Plan q = WineQuery(0.5, 5);
@@ -583,11 +571,20 @@ TEST_F(RewriteTest, DecisionLogAccountsForEveryCandidate) {
   const DecisionCounts counts = log.Counts();
   EXPECT_GT(counts.candidates, 0u);
   EXPECT_GT(counts.accepted, 0u);
-  // Every candidate lands in exactly one bucket.
+  // Every candidate lands in exactly one bucket: the per-target
+  // signature-mismatch counts plus one record per queued candidate.
   EXPECT_EQ(counts.candidates,
             counts.accepted + counts.signature_mismatch +
                 counts.afk_containment + counts.not_cost_improving +
                 counts.pruned_by_bound);
+  size_t mismatches = 0;
+  size_t records = 0;
+  for (const TargetDecision& td : log.targets) {
+    mismatches += td.signature_mismatch;
+    records += td.candidates.size();
+  }
+  EXPECT_EQ(counts.signature_mismatch, mismatches);
+  EXPECT_EQ(counts.candidates, mismatches + records);
 
   for (const TargetDecision& td : log.targets) {
     size_t accepted_here = 0;
@@ -600,10 +597,8 @@ TEST_F(RewriteTest, DecisionLogAccountsForEveryCandidate) {
         EXPECT_TRUE(cd.rewrite_found);
         EXPECT_GE(cd.opt_cost, 0.0);
       }
-      if (cd.reject == RejectReason::kSignatureMismatch) {
-        // INIT exclusions happen before costing.
-        EXPECT_LT(cd.opt_cost, 0.0);
-      }
+      // INIT exclusions are counted per target, never recorded.
+      EXPECT_NE(cd.reject, RejectReason::kSignatureMismatch);
     }
     EXPECT_LE(accepted_here, 1u);
     EXPECT_GE(td.original_cost, td.best_cost);
@@ -624,13 +619,85 @@ TEST_F(RewriteTest, DecisionLogOptCostNonDecreasingPerTarget) {
     // estimates never decrease.
     double prev = -1;
     for (const CandidateDecision& cd : td.candidates) {
-      if (cd.opt_cost < 0) continue;  // never costed (INIT exclusion)
       EXPECT_GE(cd.opt_cost + 1e-9, prev)
           << "target " << td.target_index << " candidate "
           << cd.candidate_id;
       prev = cd.opt_cost;
     }
   }
+}
+
+TEST_F(RewriteTest, DecisionLogCountsIrrelevantViewsPerTarget) {
+  // A second base table that shares no attribute with any wine-query
+  // target: every view over it is a signature mismatch for every target.
+  Schema schema({Column{"loc_id", DataType::kInt64},
+                 Column{"venue", DataType::kString}});
+  auto land = std::make_shared<Table>("LAND", schema);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(land->AppendRow({Value(int64_t{i}),
+                                 Value(i % 2 == 0 ? "bar" : "cafe")})
+                    .ok());
+  }
+  ASSERT_TRUE(catalog_.RegisterBase(land, {"loc_id"}, &dfs_).ok());
+  Execute(WineQuery(0.5, 5));
+  std::set<std::string> twtr_ids;
+  for (const catalog::ViewDefinition* def : views_.All()) {
+    twtr_ids.insert(std::to_string(def->id));
+  }
+  Execute(plan::Plan(plan::Project(plan::Scan("LAND"), {"loc_id", "venue"})));
+  Execute(plan::Plan(
+      plan::GroupBy(plan::Scan("LAND"), {"venue"},
+                    {AggSpec{AggFn::kCount, "", "n"}})));
+  std::set<std::string> irrelevant_ids;
+  for (const catalog::ViewDefinition* def : views_.All()) {
+    if (twtr_ids.count(std::to_string(def->id)) == 0) {
+      irrelevant_ids.insert(std::to_string(def->id));
+    }
+  }
+  const size_t irrelevant = irrelevant_ids.size();
+  ASSERT_GT(irrelevant, 0u);
+
+  plan::Plan q = WineQuery(0.5, 5);
+  auto outcome = bfr_->Rewrite(&q);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome->improved);
+  const DecisionLog& log = outcome->decisions;
+  ASSERT_FALSE(log.targets.empty());
+  for (const TargetDecision& td : log.targets) {
+    EXPECT_EQ(td.signature_mismatch, irrelevant)
+        << "target " << td.target_index;
+    // Counted, not recorded: no decision names an irrelevant view.
+    for (const CandidateDecision& cd : td.candidates) {
+      EXPECT_NE(cd.reject, RejectReason::kSignatureMismatch);
+      EXPECT_EQ(irrelevant_ids.count(cd.candidate_id), 0u) << cd.candidate_id;
+    }
+  }
+  EXPECT_EQ(log.Counts().signature_mismatch, irrelevant * log.targets.size());
+
+  const std::string text = log.ToText();
+  const std::string line = "    " + std::to_string(irrelevant) +
+                           " views  rejected: signature_mismatch";
+  size_t lines = 0;
+  for (size_t pos = text.find(line); pos != std::string::npos;
+       pos = text.find(line, pos + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, log.targets.size());
+  EXPECT_NE(text.find("signature_mismatch: " +
+                      std::to_string(irrelevant * log.targets.size())),
+            std::string::npos);
+
+  const std::string json = log.ToJson();
+  const std::string key =
+      "\"signature_mismatch\":" + std::to_string(irrelevant) + ",";
+  size_t keys = 0;
+  for (size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos + 1)) {
+    ++keys;
+  }
+  EXPECT_EQ(keys, log.targets.size());
+  EXPECT_EQ(json.find("\"decision\":\"signature_mismatch\""),
+            std::string::npos);
 }
 
 TEST_F(RewriteTest, DecisionLogJsonWellFormed) {
