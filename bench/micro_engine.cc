@@ -4,7 +4,8 @@
 // `micro_engine --json` instead runs a fixed engine workload at 1, 2, 4 and
 // 8 threads and prints JSON lines with wall-clock ms and rows/sec per
 // thread count — the seed of the BENCH_*.json perf trajectory (scripts/
-// bench.sh wraps this).
+// bench.sh wraps this) — then the warm_rewrite record and the per-UDF
+// "udf" record (ms per call and input rows/s of every builtin UDF).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "common/hash.h"
 #include "common/json_writer.h"
 #include "common/thread_pool.h"
+#include "storage/row_batch.h"
 #include "exec/udf_exec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -381,6 +383,160 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+// The zero-copy projection of `t` onto `cols` (batches share columns).
+storage::Table ProjectTable(const storage::Table& t,
+                            const std::vector<std::string>& cols) {
+  std::vector<size_t> idx;
+  std::vector<storage::Column> schema;
+  for (const std::string& c : cols) {
+    idx.push_back(*t.schema().IndexOf(c));
+    schema.push_back(t.schema().column(idx.back()));
+  }
+  std::vector<storage::RowBatch> batches;
+  for (const storage::RowBatch& b : *t.ToBatches()) {
+    batches.push_back(b.Project(idx));
+  }
+  return storage::Table::FromBatches(t.name(), storage::Schema(schema),
+                                     std::move(batches));
+}
+
+// FSQ check-ins with their landmark's geo string (the workload's
+// FSQ-join-LAND input of UDF_EXTRACT_LATLON).
+storage::Table CheckinGeo(const storage::Table& fsq,
+                          const storage::Table& land) {
+  std::vector<std::string> geo_of;
+  const size_t land_id = *land.schema().IndexOf("location_id");
+  const size_t land_geo = *land.schema().IndexOf("geo");
+  for (const storage::Row& r : land.rows()) {
+    const auto id = static_cast<size_t>(r[land_id].as_int64());
+    if (id >= geo_of.size()) geo_of.resize(id + 1);
+    geo_of[id] = r[land_geo].is_null() ? "" : r[land_geo].as_string();
+  }
+  storage::Table out("FSQ_GEO",
+                     storage::Schema({{"user_id", storage::DataType::kInt64},
+                                      {"location_id",
+                                       storage::DataType::kInt64},
+                                      {"geo", storage::DataType::kString}}));
+  const size_t uid = *fsq.schema().IndexOf("user_id");
+  const size_t loc = *fsq.schema().IndexOf("location_id");
+  for (const storage::Row& r : fsq.rows()) {
+    const auto id = static_cast<size_t>(r[loc].as_int64());
+    if (id >= geo_of.size()) continue;
+    if (!out.AppendRow({r[uid], r[loc], storage::Value(geo_of[id])}).ok()) {
+      std::abort();
+    }
+  }
+  return out;
+}
+
+// The "udf" record: every builtin UDF over the default-size (20k-tweet)
+// TWTR/FSQ/LAND extracts the workload feeds it, serially (1 thread, 64 KiB
+// blocks): median ms per RunLocalFunctions call of kReps, and input rows/s.
+void PrintUdfRecord() {
+  constexpr int kReps = 7;
+  const workload::DataGenConfig data;
+  const storage::TablePtr twtr = workload::GenerateTwitterLog(data);
+  const storage::TablePtr fsq = workload::GenerateFoursquareLog(data);
+  const storage::TablePtr land = workload::GenerateLandmarks(data);
+  udf::UdfRegistry registry;
+  if (!udf::RegisterBuiltinUdfs(&registry).ok()) std::abort();
+  auto run = [&](const std::string& name, const storage::Table& in,
+                 const udf::Params& params, storage::Table* out) {
+    auto def = registry.Find(name);
+    if (!def.ok() ||
+        !exec::RunLocalFunctions(**def, in, params, out).ok()) {
+      std::abort();
+    }
+  };
+
+  const storage::Table extract = ProjectTable(
+      *twtr, {"user_id", "tweet_text", "mention_user", "raw_meta"});
+  const storage::Table core = ProjectTable(
+      *twtr, {"tweet_id", "user_id", "tweet_text", "raw_meta",
+              "mention_user"});
+  const storage::Table text = ProjectTable(*twtr, {"user_id", "tweet_text"});
+  const storage::Table twtr_geo =
+      ProjectTable(*twtr, {"tweet_id", "user_id", "geo"});
+  const storage::Table fsq_geo = CheckinGeo(*fsq, *land);
+  const storage::Table land_geo =
+      ProjectTable(*land, {"location_id", "category", "geo"});
+  const storage::Table menus =
+      ProjectTable(*land, {"location_id", "category", "menu_text"});
+  storage::Table friends, latlon, tokens;
+  run("UDF_FRIENDSHIP_STRENGTH", extract, {{"min_strength", storage::Value(1.5)}},
+      &friends);
+  run("UDF_EXTRACT_LATLON", twtr_geo, {}, &latlon);
+  run("UDF_TOKENIZE", text, {}, &tokens);
+
+  struct Case {
+    const char* udf;
+    const char* input;
+    const storage::Table* table;
+    udf::Params params;
+  };
+  const std::vector<Case> cases = {
+      {"UDF_CLASSIFY_WINE_SCORE", "TWTR", &extract,
+       {{"threshold", storage::Value(0.5)}}},
+      {"UDF_CLASSIFY_FOOD_SCORE", "TWTR", &core,
+       {{"threshold", storage::Value(0.5)}}},
+      {"UDAF_CLASSIFY_AFFLUENT", "TWTR", &extract,
+       {{"min_affluence", storage::Value(0.04)}}},
+      {"UDF_FRIENDSHIP_STRENGTH", "TWTR", &extract,
+       {{"min_strength", storage::Value(1.5)}}},
+      {"UDF_NETWORK_INFLUENCE", "FRIENDS", &friends,
+       {{"min_influence", storage::Value(4.0)}}},
+      {"UDF_EXTRACT_LATLON", "TWTR", &twtr_geo, {}},
+      {"UDF_EXTRACT_LATLON", "FSQ", &fsq_geo, {}},
+      {"UDF_EXTRACT_LATLON", "LAND", &land_geo, {}},
+      {"UDF_GEO_TILE", "TWTR_LATLON", &latlon,
+       {{"tile_size", storage::Value(0.5)}}},
+      {"UDF_TOKENIZE", "TWTR", &text, {}},
+      {"UDF_WORD_COUNT", "TOKENS", &tokens,
+       {{"min_count", storage::Value(10.0)}}},
+      {"UDF_MENU_SIMILARITY", "LAND", &menus,
+       {{"ref_menu", storage::Value(workload::ReferenceMenu())},
+        {"min_sim", storage::Value(0.15)}}},
+      {"UDF_PARSE_LOG", "TWTR", &core, {}},
+      {"UDF_HASHTAG_TRENDS", "TWTR", &text,
+       {{"min_users", storage::Value(2.0)}}},
+  };
+
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("bench").String("micro_engine");
+  w.Key("schema_version").Int(kBenchSchemaVersion);
+  w.Key("mode").String("udf");
+  w.Key("threads").Int(1);
+  w.Key("reps").Int(kReps);
+  w.Key("udfs").BeginArray();
+  for (const Case& c : cases) {
+    std::vector<double> ms;
+    storage::Table out;
+    run(c.udf, *c.table, c.params, &out);  // warm-up
+    for (int r = 0; r < kReps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      run(c.udf, *c.table, c.params, &out);
+      ms.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+    }
+    const double median_ms = Median(ms);
+    w.BeginObject();
+    w.Key("udf").String(c.udf);
+    w.Key("input").String(c.input);
+    w.Key("rows").UInt(c.table->num_rows());
+    w.Key("ms_per_call").Double(median_ms);
+    w.Key("rows_per_sec")
+        .Double(median_ms > 0 ? static_cast<double>(c.table->num_rows()) /
+                                    (median_ms / 1000.0)
+                              : 0.0);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  std::printf("%s\n", w.str().c_str());
+}
+
 // Prints the engine record — mode "pipelined", the name the
 // BENCH_engine.json trajectory has always used for the default engine
 // (batch kernels + morsel-driven pipelined shuffle) — then the
@@ -494,6 +650,7 @@ int RunJsonMode(const char* trace_path) {
 
   PrintWarmRewriteRecord(kTweets, kIters, hw_cores,
                          kThreads[kNumThreads - 1]);
+  PrintUdfRecord();
   if (trace_path != nullptr) {
     std::vector<const obs::Trace*> ptrs;
     ptrs.reserve(traces.size());

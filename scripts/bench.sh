@@ -6,6 +6,9 @@
 # sweeping threads {1, 2, 4, 8} untraced, with 1 vs 8 threads as alternating
 # pairs, plus one traced run at 8 threads — traced_rows_per_sec vs
 # untraced_rows_per_sec = tracing overhead) and the warm_rewrite record.
+# micro_engine --json also prints the per-UDF "udf" record (ms per call
+# and input rows/s of every builtin UDF at 1 thread; --check prints it, it
+# gates nothing).
 # micro_eval --json contributes one expression-kernel record (fused
 # project/filter throughput without engine overheads, plus its same-run
 # ratio over per-row evaluation). micro_hash --json contributes the flat
@@ -283,6 +286,14 @@ else:
               f"(median of pairs [{pairs}], max {overhead_max:.1f}%), "
               f"{observed.get('slow_capture_bytes')} slow-capture bytes, "
               f"p95 {observed.get('latency_p95_s'):.3f}s")
+
+# Per-UDF timings (micro_engine's "udf" record): printed, not gated.
+udf_rec = modes.get("udf")
+if udf_rec is not None:
+    for u in udf_rec.get("udfs", []):
+        print(f"bench --check: udf {u['udf']} over {u['input']} "
+              f"({u['rows']} rows): {u['ms_per_call']:.2f} ms/call, "
+              f"{u['rows_per_sec']:.3g} rows/s")
 
 # Hash-recycler gate: micro_recycle's warm repetitions of the same join
 # must probe the cached build (zero_rebuild receipt) and clear the

@@ -20,10 +20,11 @@
 # plus the 8-tenant query-history-vs-serial-replay determinism check inside
 # ServerStress), the columnar-boundary suites (view stats sampled in
 # each job's tail, which runs on pool threads concurrently under the DAG
-# schedule; UDF input conversion; opaque filters over batch inputs; the
-# 4-tenant workload with oracle-checked view stats), and the Table
+# schedule; UDF local functions over batches; opaque filters over batch
+# inputs; the 4-tenant workload with oracle-checked view stats), the Table
 # concurrency test (8 readers of a sealed table racing an append to a copy
-# of it). TSan and ASan cannot share a build, hence the separate tree.
+# of it), and the UDF suites (builtin UDFs on pools of 4 threads against
+# the per-row oracle, UDF job task accounting). TSan and ASan cannot share a build, hence the separate tree.
 #
 # Then runs the perf-floor gate
 # (scripts/bench.sh --check) against the REGULAR build — never the
@@ -48,10 +49,10 @@ echo "== ThreadSanitizer pass (serving layer + parallel determinism) =="
 cmake -B build-tsan -S . -DOPD_TSAN=ON >/dev/null
 cmake --build build-tsan --target server_test parallel_determinism_test \
   recycler_test query_log_test columnar_boundary_test storage_test \
-  exec_ops_test -j
+  exec_ops_test udf_test udf_oracle_test -j
 cd build-tsan
 TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
-  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary|TableConcurrency|ExecFailurePath' "$@"
+  -R 'AdmissionController|ServerAdmission|Serving|ServerStress|ServerIntrospection|ParallelDeterminism|RecyclerStress|RecyclerDeterminism|QueryLog|StatsIdentity|UdfBatchBoundary|ServingNoRowCache|OpaqueFilterBoundary|TableConcurrency|ExecFailurePath|UdfExecTest|HashtagTrendsTest|UdfOracle|UdfJobTasks' "$@"
 cd ..
 echo "== micro_eval under ASan+UBSan (expression kernels, correctness only) =="
 # One sanitized pass over the fused expression kernels: masks, selection

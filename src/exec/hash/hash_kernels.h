@@ -76,7 +76,8 @@ inline uint64_t FlatCellHash(const storage::Value& v) {
   }
 }
 
-/// Flat per-row key hash over `cols` of `row` (UDF reduce shuffles).
+/// Flat per-row key hash over `cols` of `row`: the per-row definition
+/// HashKeys computes batch-wide.
 inline uint64_t FlatRowKeyHash(const storage::Row& row,
                                const std::vector<size_t>& cols) {
   uint64_t h = kKeySeed;
@@ -167,8 +168,8 @@ inline void EncodeCell(const storage::Value& v, KeyScratch* out) {
   }
 }
 
-/// Normalizes the key cells of `row` at `cols` into `out` (UDF reduce
-/// shuffles).
+/// Normalizes the key cells of `row` at `cols` into `out`: the per-row
+/// definition NormalizeKey follows.
 inline void NormalizeKeyRow(const storage::Row& row,
                             const std::vector<size_t>& cols, KeyScratch* out) {
   out->Clear();

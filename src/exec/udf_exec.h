@@ -1,6 +1,7 @@
-// Executes a UDF's local-function pipeline over real rows, mirroring the MR
-// runtime: map functions stream per tuple; reduce functions receive one key
-// group at a time.
+// Executes a UDF's local-function pipeline over real data, mirroring the MR
+// runtime a batch at a time: map functions stream their input batch by
+// batch through BatchBuilders; reduce functions receive one key group at a
+// time, as a row range of their bucket's grouped batch (udf/local_function.h).
 
 #ifndef OPD_EXEC_UDF_EXEC_H_
 #define OPD_EXEC_UDF_EXEC_H_
@@ -31,11 +32,13 @@ struct LfStageRun {
 ///
 /// There is one schedule: each run of consecutive map stages (one or more)
 /// fuses into one wave of block-sized tasks, and each reduce stage runs a
-/// pipelined shuffle (RunPipelinedShuffle) into ctx.num_reduce_tasks
-/// buckets (derived from the stage input when 0). Each fused map group and
-/// each reduce stage opens a "stage:<name>" span under ctx.parent_span
-/// (fused names joined with '+'). Task granularity never changes results:
-/// stage outputs are merged in a deterministic order.
+/// pipelined shuffle (RunPipelinedShuffle, one producer per input batch)
+/// into ctx.num_reduce_tasks buckets (derived from the stage input when 0).
+/// Stage row and byte counts are the stages' output batches' num_rows() and
+/// ByteSize(). Each fused map group and each reduce stage opens a
+/// "stage:<name>" span under ctx.parent_span (fused names joined with '+').
+/// Task granularity never changes results: stage outputs are merged in a
+/// deterministic order.
 ///
 /// \param[out] output  the final stage's output table (named later by caller)
 /// \param[out] stages  optional per-stage accounting

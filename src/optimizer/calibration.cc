@@ -40,13 +40,23 @@ storage::Table SampleTable(const storage::Table& table, double fraction,
 }
 
 double MeasureBaselineThroughput(const storage::Table& table) {
-  const std::vector<storage::Row> rows = table.rows();
+  const auto batches = table.ToBatches();
   auto start = std::chrono::steady_clock::now();
   uint64_t bytes = 0;
-  // A trivial type-1 operation: copy rows and tally widths.
-  for (const auto& row : rows) {
-    storage::Row copy = row;
-    bytes += storage::RowByteSize(copy);
+  // A trivial type-1 operation in the engine's representation: copy every
+  // attribute of every row, cell by cell, into a new column (as a local
+  // function's BatchBuilder::AppendCell does) and tally widths.
+  for (const storage::RowBatch& batch : *batches) {
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      const storage::ColumnVector& src = batch.column(c);
+      storage::ColumnVector copy(src.declared_type());
+      copy.Reserve(batch.num_rows());
+      storage::DictRemap remap;
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        copy.AppendFrom(src, r, &remap);
+      }
+      bytes += copy.ByteSize();
+    }
   }
   auto end = std::chrono::steady_clock::now();
   double secs = std::chrono::duration<double>(end - start).count();

@@ -39,8 +39,9 @@ Status CalibrateUdf(udf::UdfDefinition* udf, const storage::Table& input,
                     const CalibrationOptions& options = {});
 
 /// Measures the baseline per-byte throughput (bytes/sec) of a trivial
-/// attribute-copying pass over `table` — the denominator for scalars. Only
-/// the copy loop is timed, not building the rows it copies.
+/// attribute-copying pass over `table`'s batches, cell by cell into new
+/// columns — the denominator for scalars, in the representation local
+/// functions run in.
 double MeasureBaselineThroughput(const storage::Table& table);
 
 }  // namespace opd::optimizer

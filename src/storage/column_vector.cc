@@ -24,24 +24,53 @@ constexpr uint64_t kNullHash = 0x6e756c6cULL;  // Value::Hash() of null
 
 }  // namespace
 
-uint32_t Dictionary::Intern(const std::string& s) {
-  auto [it, inserted] =
-      lookup.try_emplace(s, static_cast<uint32_t>(entries.size()));
-  if (inserted) {
-    entries.push_back(s);
-    hashes.push_back(HashString(s));
-    lengths.push_back(s.size());
+int64_t Dictionary::Find(std::string_view s, uint64_t hash) const {
+  if (slots_.empty()) return -1;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint32_t code = slots_[i];
+    if (code == kEmptySlot) return -1;
+    if (hashes[code] == hash && entries[code] == s) return code;
   }
-  return it->second;
+}
+
+uint32_t Dictionary::Intern(std::string_view s) {
+  return Intern(s, HashString(s));
+}
+
+uint32_t Dictionary::Intern(std::string_view s, uint64_t hash) {
+  const int64_t found = Find(s, hash);
+  if (found >= 0) return static_cast<uint32_t>(found);
+  const auto code = static_cast<uint32_t>(entries.size());
+  entries.emplace_back(s);
+  hashes.push_back(hash);
+  lengths.push_back(s.size());
+  // Keep the table at most half full, so probes stay short.
+  if (2 * entries.size() > slots_.size()) {
+    Grow();  // re-inserts every entry, the new one included
+  } else {
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = code;
+  }
+  return code;
+}
+
+void Dictionary::Grow() {
+  size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
+  while (cap < 2 * entries.size()) cap *= 2;
+  slots_.assign(cap, kEmptySlot);
+  const size_t mask = cap - 1;
+  for (uint32_t code = 0; code < entries.size(); ++code) {
+    size_t i = hashes[code] & mask;
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = code;
+  }
 }
 
 DictionaryPtr Dictionary::Clone() const {
-  auto copy = std::make_shared<Dictionary>();
-  copy->entries = entries;
-  copy->hashes = hashes;
-  copy->lengths = lengths;
-  copy->lookup = lookup;
-  return copy;
+  return std::make_shared<Dictionary>(*this);
 }
 
 ColumnVector ColumnVector::StringWithSharedDict(DictionaryPtr dict) {
@@ -97,15 +126,16 @@ void ColumnVector::EnsureOwnedDict() {
   }
 }
 
-uint32_t ColumnVector::Intern(const std::string& s) {
+uint32_t ColumnVector::Intern(std::string_view s) {
+  const uint64_t hash = HashString(s);
   // Interning a string that is already present never mutates, so a shared
   // dictionary can answer it directly without triggering copy-on-write.
   if (dict_ != nullptr && !owns_dict_) {
-    auto it = dict_->lookup.find(s);
-    if (it != dict_->lookup.end()) return it->second;
+    const int64_t found = dict_->Find(s, hash);
+    if (found >= 0) return static_cast<uint32_t>(found);
   }
   EnsureOwnedDict();
-  return dict_->Intern(s);
+  return dict_->Intern(s, hash);
 }
 
 void ColumnVector::DemoteToVariant() {
@@ -174,6 +204,15 @@ void ColumnVector::Append(const Value& v) {
       break;
   }
   PushValidBit(true);
+}
+
+void ColumnVector::AppendString(std::string_view v) {
+  if (native_ && type_ == DataType::kString) {
+    codes_.push_back(Intern(v));
+    PushValidBit(true);
+  } else {
+    Append(Value(std::string(v)));
+  }
 }
 
 void ColumnVector::AppendFrom(const ColumnVector& src, size_t i,
@@ -311,14 +350,6 @@ Value ColumnVector::GetValue(size_t i) const {
       return Value(dict_->entries[codes_[i]]);
   }
   return Value::Null();
-}
-
-void ColumnVector::ReadValue(size_t i, Value* out) const {
-  if (native_ && type_ == DataType::kString && !IsNull(i)) {
-    out->AssignString(dict_->entries[codes_[i]]);
-  } else {
-    *out = GetValue(i);
-  }
 }
 
 uint64_t ColumnVector::HashAt(size_t i) const {

@@ -31,7 +31,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "storage/value.h"
@@ -44,20 +45,32 @@ class ColumnVector;
 ///
 /// Entry codes are stable once assigned. Hashes and byte lengths are
 /// precomputed per entry so cell hashing and byte accounting never touch
-/// the string bytes again.
+/// the string bytes again. Each string is stored once, in `entries`; the
+/// lookup index is an open-addressing table of entry codes, probed with the
+/// stored hashes and verified against the stored entries.
 struct Dictionary {
   std::vector<std::string> entries;
   std::vector<uint64_t> hashes;   // Value::Hash of each entry
   std::vector<size_t> lengths;    // byte length of each entry
-  std::unordered_map<std::string, uint32_t> lookup;
 
   size_t size() const { return entries.size(); }
 
+  /// Code of `s` (whose HashString is `hash`), or -1 when absent.
+  int64_t Find(std::string_view s, uint64_t hash) const;
+
   /// Returns the code of `s`, appending a new entry if absent.
-  uint32_t Intern(const std::string& s);
+  uint32_t Intern(std::string_view s);
+  /// Same, with `hash` == HashString(s) already computed.
+  uint32_t Intern(std::string_view s, uint64_t hash);
 
   /// Deep copy (used for copy-on-write of shared dictionaries).
   std::shared_ptr<Dictionary> Clone() const;
+
+ private:
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  void Grow();
+
+  std::vector<uint32_t> slots_;  // power-of-two table of codes
 };
 
 using DictionaryPtr = std::shared_ptr<Dictionary>;
@@ -99,6 +112,27 @@ class ColumnVector {
   void Append(const Value& v);
   void AppendNull();
 
+  /// Typed appends, equal to `Append(Value(v))`: a native lane of the
+  /// matching type takes the cell directly (a string is interned straight
+  /// from the view), any other column takes it as a Value.
+  void AppendInt64(int64_t v) {
+    if (native_ && type_ == DataType::kInt64) {
+      ints_.push_back(v);
+      PushValidBit(true);
+    } else {
+      Append(Value(v));
+    }
+  }
+  void AppendDouble(double v) {
+    if (native_ && type_ == DataType::kDouble) {
+      doubles_.push_back(v);
+      PushValidBit(true);
+    } else {
+      Append(Value(v));
+    }
+  }
+  void AppendString(std::string_view v);
+
   /// Appends cell `i` of `src`. When both columns are native strings a
   /// `remap` memoizes dictionary code translation across calls. A string
   /// column with no dictionary of its own adopts `src`'s shared dictionary
@@ -119,9 +153,34 @@ class ColumnVector {
   /// appended (bit-identical doubles, byte-identical strings).
   Value GetValue(size_t i) const;
 
-  /// Same as `*out = GetValue(i)`, but reuses the string storage `*out`
-  /// already holds.
-  void ReadValue(size_t i, Value* out) const;
+  // -- Typed cell readers for local-function bodies. Each equals the named
+  //    accessor of GetValue(i), and throws std::bad_variant_access where
+  //    that accessor would. --
+  /// GetValue(i).ToDouble(): numerics as double, null and strings as 0.
+  double DoubleAt(size_t i) const {
+    if (native_) {
+      if (IsNull(i)) return 0.0;
+      if (type_ == DataType::kDouble) return doubles_[i];
+      if (type_ == DataType::kInt64) return static_cast<double>(ints_[i]);
+    }
+    return GetValue(i).ToDouble();
+  }
+  /// GetValue(i).as_int64().
+  int64_t Int64At(size_t i) const {
+    if (!native_) return variant_[i].as_int64();
+    if (type_ != DataType::kInt64 || IsNull(i)) {
+      throw std::bad_variant_access();
+    }
+    return ints_[i];
+  }
+  /// GetValue(i).as_string(), without a copy.
+  std::string_view StringAt(size_t i) const {
+    if (!native_) return variant_[i].as_string();
+    if (type_ != DataType::kString || IsNull(i)) {
+      throw std::bad_variant_access();
+    }
+    return dict_->entries[codes_[i]];
+  }
 
   /// Hash of cell `i`, equal to `GetValue(i).Hash()`. String hashes are
   /// computed once per distinct dictionary entry.
@@ -159,7 +218,7 @@ class ColumnVector {
     return (valid_[i >> 6] >> (i & 63)) & 1ULL;
   }
   void PushValidBit(bool valid);
-  uint32_t Intern(const std::string& s);
+  uint32_t Intern(std::string_view s);
   /// Clones a shared, non-owned dictionary before first mutation.
   void EnsureOwnedDict();
   /// Re-boxes every cell into the variant lane and drops native arrays.

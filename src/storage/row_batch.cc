@@ -33,15 +33,9 @@ RowBatch RowBatch::FromRows(const Schema& schema, const std::vector<Row>& rows,
 
 Row RowBatch::RowAt(size_t i) const {
   Row row;
-  ReadRow(i, &row);
+  row.reserve(columns_.size());
+  for (const ColumnVectorPtr& col : columns_) row.push_back(col->GetValue(i));
   return row;
-}
-
-void RowBatch::ReadRow(size_t i, Row* out) const {
-  out->resize(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c]->ReadValue(i, &(*out)[c]);
-  }
 }
 
 uint64_t RowBatch::HashRowAt(size_t i) const {

@@ -48,10 +48,6 @@ class RowBatch {
   /// Reconstructs row `i` — the exact cells that were appended.
   Row RowAt(size_t i) const;
 
-  /// Overwrites `*out` with row `i`, reusing the storage of its cells (a
-  /// scratch row refilled for every row of a scan).
-  void ReadRow(size_t i, Row* out) const;
-
   /// Hash of the full row at `i`, equal to `RowHash()(RowAt(i))`.
   uint64_t HashRowAt(size_t i) const;
 

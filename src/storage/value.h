@@ -39,16 +39,6 @@ class Value {
 
   static Value Null() { return Value(); }
 
-  /// Sets the value to the string `s`, reusing the string storage it
-  /// already holds (scratch rows refilled once per row).
-  void AssignString(const std::string& s) {
-    if (auto* held = std::get_if<std::string>(&v_)) {
-      held->assign(s);
-    } else {
-      v_.emplace<std::string>(s);
-    }
-  }
-
   bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
   DataType type() const;
 

@@ -1,8 +1,15 @@
 #include "udf/builtin_udfs.h"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -10,7 +17,6 @@ namespace opd::udf {
 
 using storage::Column;
 using storage::DataType;
-using storage::Row;
 using storage::Schema;
 using storage::Value;
 
@@ -73,13 +79,37 @@ int64_t GeoTileId(double lat, double lon, double tile_size) {
   return r * 1000000 + c;
 }
 
+namespace {
+
+// std::stod on a view: leading whitespace is skipped and trailing text
+// ignored; false where std::stod throws (nothing converts, or the value is
+// out of range).
+bool ParseDouble(std::string_view s, double* out) {
+  char small[64];
+  std::string large;
+  const char* text = small;
+  if (s.size() < sizeof(small)) {
+    std::memcpy(small, s.data(), s.size());
+    small[s.size()] = '\0';
+  } else {
+    large.assign(s);
+    text = large.c_str();
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
 bool ParseLatLon(std::string_view geo, double* lat, double* lon) {
   size_t comma = geo.find(',');
   if (comma == std::string_view::npos) return false;
-  try {
-    *lat = std::stod(std::string(geo.substr(0, comma)));
-    *lon = std::stod(std::string(geo.substr(comma + 1)));
-  } catch (...) {
+  if (!ParseDouble(geo.substr(0, comma), lat) ||
+      !ParseDouble(geo.substr(comma + 1), lon)) {
     return false;
   }
   return *lat >= -90.0 && *lat <= 90.0 && *lon >= -180.0 && *lon <= 180.0;
@@ -98,6 +128,117 @@ void ParseLogMeta(std::string_view meta, std::string* lang,
 }
 
 namespace {
+
+using storage::ColumnVector;
+using storage::RowBatch;
+using storage::RowRange;
+
+// --- Batch-body helpers ------------------------------------------------------
+
+// Lowercased alphanumeric ASCII byte, or 0 for a word separator: the
+// character classes of TokenizeWords.
+const std::array<char, 256>& WordChars() {
+  static const std::array<char, 256> table = [] {
+    std::array<char, 256> t{};
+    for (int c = 0; c < 256; ++c) {
+      if (std::isalnum(c)) t[c] = static_cast<char>(std::tolower(c));
+    }
+    return t;
+  }();
+  return table;
+}
+
+// Calls fn(word) for each word of `text`, in order: the words of
+// TokenizeWords, lowercased into the reused `buf` instead of one string
+// each.
+template <typename Fn>
+void ForEachWord(std::string_view text, std::string* buf, Fn&& fn) {
+  const std::array<char, 256>& chars = WordChars();
+  buf->clear();
+  for (char c : text) {
+    const char folded = chars[static_cast<unsigned char>(c)];
+    if (folded != 0) {
+      buf->push_back(folded);
+    } else if (!buf->empty()) {
+      fn(std::string_view(*buf));
+      buf->clear();
+    }
+  }
+  if (!buf->empty()) fn(std::string_view(*buf));
+}
+
+// A lexicon as a word -> weight table keyed by views of its entries.
+struct LexiconTable {
+  std::unordered_map<std::string_view, double> weights;
+  size_t min_len = SIZE_MAX;
+  size_t max_len = 0;
+
+  // LexiconScore of `text`: weights summed in word order.
+  double Score(std::string_view text, std::string* buf) const {
+    double score = 0;
+    ForEachWord(text, buf, [&](std::string_view word) {
+      if (word.size() < min_len || word.size() > max_len) return;
+      auto it = weights.find(word);
+      if (it != weights.end()) score += it->second;
+    });
+    return score;
+  }
+};
+
+const LexiconTable& LexiconWeights(const std::string& name) {
+  static const std::map<std::string, LexiconTable> tables = [] {
+    std::map<std::string, LexiconTable> t;
+    for (const char* lexicon : {"wine", "food", "luxury", ""}) {
+      LexiconTable& table = t[lexicon];
+      for (const auto& [word, weight] : Lexicon(lexicon)) {
+        table.weights.emplace(word, weight);
+        table.min_len = std::min(table.min_len, word.size());
+        table.max_len = std::max(table.max_len, word.size());
+      }
+    }
+    return t;
+  }();
+  auto it = tables.find(name);
+  return it != tables.end() ? it->second : tables.at("");
+}
+
+// The word set of `text` (JaccardSimilarity's sets).
+std::set<std::string> WordSet(std::string_view text, std::string* buf) {
+  std::set<std::string> words;
+  ForEachWord(text, buf,
+              [&](std::string_view word) { words.emplace(word); });
+  return words;
+}
+
+double Jaccard(const std::set<std::string>& a,
+               const std::set<std::string>& b) {
+  if (a.empty() && b.empty()) return 0.0;
+  size_t inter = 0;
+  for (const auto& w : a) inter += b.count(w);
+  size_t uni = a.size() + b.size() - inter;
+  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+// ParseLogMeta over views: `lang` and `device` point into `meta` (or at
+// "unknown").
+void ParseLogFields(std::string_view meta, std::string_view* lang,
+                    std::string_view* device) {
+  *lang = "unknown";
+  *device = "unknown";
+  while (true) {
+    const size_t semi = meta.find(';');
+    const std::string_view field = meta.substr(0, semi);
+    const size_t eq = field.find('=');
+    if (eq != std::string_view::npos &&
+        field.find('=', eq + 1) == std::string_view::npos) {
+      const std::string_view key = field.substr(0, eq);
+      if (key == "lang") *lang = field.substr(eq + 1);
+      if (key == "dev") *device = field.substr(eq + 1);
+    }
+    if (semi == std::string_view::npos) return;
+    meta.remove_prefix(semi + 1);
+  }
+}
 
 Schema TwoColSchema(const std::string& a, DataType ta, const std::string& b,
                     DataType tb) {
@@ -127,6 +268,8 @@ UdfDefinition MakeUserScoreUdf(const std::string& udf_name,
   lf1.name = udf_name + "-lf1-score";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs;
+  lf1.reads = {"tweet_text"};
+  lf1.passed = {"user_id"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     auto uid = in.IndexOf("user_id");
     auto txt = in.IndexOf("tweet_text");
@@ -136,12 +279,16 @@ UdfDefinition MakeUserScoreUdf(const std::string& udf_name,
     return TwoColSchema("user_id", DataType::kInt64, "_score",
                         DataType::kDouble);
   };
-  lf1.map_fn = [lexicon](const Row& row, const LfContext& ctx,
-                         std::vector<Row>* out) {
-    const Value& uid = row[ctx.In("user_id")];
-    const Value& text = row[ctx.In("tweet_text")];
-    double s = text.is_null() ? 0.0 : LexiconScore(text.as_string(), lexicon);
-    out->push_back(Row{uid, Value(s)});
+  const LexiconTable* table = &LexiconWeights(lexicon);
+  lf1.map_fn = [table](const RowBatch& in, const LfContext& ctx,
+                       BatchBuilder* out) {
+    const ColumnVector& text = in.column(ctx.cols[0]);
+    std::string buf;
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      out->Keep(i);
+      out->AppendDouble(
+          1, text.IsNull(i) ? 0.0 : table->Score(text.StringAt(i), &buf));
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -150,22 +297,26 @@ UdfDefinition MakeUserScoreUdf(const std::string& udf_name,
   lf2.kind = LfKind::kReduce;
   lf2.op_types = kOpGroup | kOpAttrs | kOpFilter;
   lf2.group_keys = {"user_id"};
+  lf2.reads = {"_score"};
+  lf2.passed = {"user_id"};
+  lf2.params = {{threshold_key, Value(default_threshold)}};
   lf2.out_schema = [out_attr](const Schema&, const Params&) -> Result<Schema> {
     return TwoColSchema("user_id", DataType::kInt64, out_attr,
                         DataType::kDouble);
   };
-  lf2.reduce_fn = [threshold_key, default_threshold, mean](
-                      const std::vector<Row>& group, const LfContext& ctx,
-                      std::vector<Row>* out) {
+  lf2.reduce_fn = [mean](const RowBatch& in, RowRange group,
+                         const LfContext& ctx, BatchBuilder* out) {
+    const ColumnVector& scores = in.column(ctx.cols[0]);
     double sum = 0;
-    for (const Row& r : group) sum += r[ctx.In("_score")].ToDouble();
-    double score = mean && !group.empty()
+    for (size_t r = group.begin; r < group.end; ++r) {
+      sum += scores.DoubleAt(r);
+    }
+    double score = mean && group.size() > 0
                        ? sum / static_cast<double>(group.size())
                        : sum;
-    double threshold =
-        ParamDouble(*ctx.params, threshold_key, default_threshold);
-    if (score > threshold) {
-      out->push_back(Row{group.front()[ctx.In("user_id")], Value(score)});
+    if (score > ctx.params[0].ToDouble()) {
+      out->Keep(static_cast<uint32_t>(group.begin));
+      out->AppendDouble(1, score);
     }
   };
   udf.local_functions.push_back(std::move(lf2));
@@ -207,6 +358,7 @@ UdfDefinition MakeFriendshipStrengthUdf() {
   lf1.name = "friendship-lf1-pairs";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs | kOpFilter;
+  lf1.reads = {"user_id", "mention_user"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("user_id") || !in.Has("mention_user")) {
       return Status::InvalidArgument(
@@ -215,14 +367,17 @@ UdfDefinition MakeFriendshipStrengthUdf() {
     return Schema({Column{"user_a", DataType::kInt64},
                    Column{"user_b", DataType::kInt64}});
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& u = row[ctx.In("user_id")];
-    const Value& m = row[ctx.In("mention_user")];
-    if (u.is_null() || m.is_null()) return;
-    int64_t a = u.as_int64(), b = m.as_int64();
-    if (b < 0 || a == b) return;  // no mention / self mention
-    out->push_back(Row{Value(std::min(a, b)), Value(std::max(a, b))});
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& users = in.column(ctx.cols[0]);
+    const ColumnVector& mentions = in.column(ctx.cols[1]);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      if (users.IsNull(i) || mentions.IsNull(i)) continue;
+      const int64_t a = users.Int64At(i), b = mentions.Int64At(i);
+      if (b < 0 || a == b) continue;  // no mention / self mention
+      out->AppendInt64(0, std::min(a, b));
+      out->AppendInt64(1, std::max(a, b));
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -231,18 +386,19 @@ UdfDefinition MakeFriendshipStrengthUdf() {
   lf2.kind = LfKind::kReduce;
   lf2.op_types = kOpGroup | kOpAttrs | kOpFilter;
   lf2.group_keys = {"user_a", "user_b"};
+  lf2.passed = {"user_a", "user_b"};
+  lf2.params = {{"min_strength", Value(1.0)}};
   lf2.out_schema = [](const Schema&, const Params&) -> Result<Schema> {
     return Schema({Column{"user_a", DataType::kInt64},
                    Column{"user_b", DataType::kInt64},
                    Column{"strength", DataType::kDouble}});
   };
-  lf2.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                     std::vector<Row>* out) {
-    double strength = static_cast<double>(group.size());
-    double min_strength = ParamDouble(*ctx.params, "min_strength", 1.0);
-    if (strength > min_strength) {
-      out->push_back(Row{group.front()[ctx.In("user_a")],
-                         group.front()[ctx.In("user_b")], Value(strength)});
+  lf2.reduce_fn = [](const RowBatch&, RowRange group, const LfContext& ctx,
+                     BatchBuilder* out) {
+    const double strength = static_cast<double>(group.size());
+    if (strength > ctx.params[0].ToDouble()) {
+      out->Keep(static_cast<uint32_t>(group.begin));
+      out->AppendDouble(2, strength);
     }
   };
   udf.local_functions.push_back(std::move(lf2));
@@ -266,6 +422,7 @@ UdfDefinition MakeNetworkInfluenceUdf() {
   lf1.name = "influence-lf1-emit";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs;
+  lf1.reads = {"user_a", "user_b", "strength"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("user_a") || !in.Has("user_b") || !in.Has("strength")) {
       return Status::InvalidArgument(
@@ -273,11 +430,17 @@ UdfDefinition MakeNetworkInfluenceUdf() {
     }
     return TwoColSchema("inf_user", DataType::kInt64, "_s", DataType::kDouble);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& s = row[ctx.In("strength")];
-    out->push_back(Row{row[ctx.In("user_a")], s});
-    out->push_back(Row{row[ctx.In("user_b")], s});
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& a = in.column(ctx.cols[0]);
+    const ColumnVector& b = in.column(ctx.cols[1]);
+    const ColumnVector& s = in.column(ctx.cols[2]);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      out->AppendCell(0, a, i);
+      out->AppendCell(1, s, i);
+      out->AppendCell(0, b, i);
+      out->AppendCell(1, s, i);
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -286,16 +449,21 @@ UdfDefinition MakeNetworkInfluenceUdf() {
   lf2.kind = LfKind::kReduce;
   lf2.op_types = kOpGroup | kOpAttrs | kOpFilter;
   lf2.group_keys = {"inf_user"};
+  lf2.reads = {"_s"};
+  lf2.passed = {"inf_user"};
+  lf2.params = {{"min_influence", Value(0.0)}};
   lf2.out_schema = [](const Schema&, const Params&) -> Result<Schema> {
     return TwoColSchema("inf_user", DataType::kInt64, "influence",
                         DataType::kDouble);
   };
-  lf2.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                     std::vector<Row>* out) {
+  lf2.reduce_fn = [](const RowBatch& in, RowRange group, const LfContext& ctx,
+                     BatchBuilder* out) {
+    const ColumnVector& s = in.column(ctx.cols[0]);
     double sum = 0;
-    for (const Row& r : group) sum += r[ctx.In("_s")].ToDouble();
-    if (sum > ParamDouble(*ctx.params, "min_influence", 0.0)) {
-      out->push_back(Row{group.front()[ctx.In("inf_user")], Value(sum)});
+    for (size_t r = group.begin; r < group.end; ++r) sum += s.DoubleAt(r);
+    if (sum > ctx.params[0].ToDouble()) {
+      out->Keep(static_cast<uint32_t>(group.begin));
+      out->AppendDouble(1, sum);
     }
   };
   udf.local_functions.push_back(std::move(lf2));
@@ -322,6 +490,8 @@ UdfDefinition MakeExtractLatLonUdf() {
   lf1.name = "latlon-lf1-parse";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs | kOpFilter;
+  lf1.reads = {"geo"};
+  lf1.passed = {"*"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("geo")) return Status::InvalidArgument("needs geo");
     Schema out = in;
@@ -329,15 +499,19 @@ UdfDefinition MakeExtractLatLonUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"lon", DataType::kDouble}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& geo = row[ctx.In("geo")];
-    double lat, lon;
-    if (geo.is_null() || !ParseLatLon(geo.as_string(), &lat, &lon)) return;
-    Row r = row;
-    r.push_back(Value(lat));
-    r.push_back(Value(lon));
-    out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& geo = in.column(ctx.cols[0]);
+    const size_t lat_col = in.num_columns();
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      double lat, lon;
+      if (geo.IsNull(i) || !ParseLatLon(geo.StringAt(i), &lat, &lon)) {
+        continue;
+      }
+      out->Keep(i);
+      out->AppendDouble(lat_col, lat);
+      out->AppendDouble(lat_col + 1, lon);
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -356,6 +530,9 @@ UdfDefinition MakeGeoTileUdf() {
   lf1.name = "geotile-lf1";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs;
+  lf1.reads = {"lat", "lon"};
+  lf1.passed = {"*"};
+  lf1.params = {{"tile_size", Value(1.0)}};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("lat") || !in.Has("lon")) {
       return Status::InvalidArgument("needs lat, lon");
@@ -364,13 +541,17 @@ UdfDefinition MakeGeoTileUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"tile_id", DataType::kInt64}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    double ts = ParamDouble(*ctx.params, "tile_size", 1.0);
-    Row r = row;
-    r.push_back(Value(GeoTileId(row[ctx.In("lat")].ToDouble(),
-                                row[ctx.In("lon")].ToDouble(), ts)));
-    out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& lat = in.column(ctx.cols[0]);
+    const ColumnVector& lon = in.column(ctx.cols[1]);
+    const double tile_size = ctx.params[0].ToDouble();
+    const size_t tile_col = in.num_columns();
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      out->Keep(i);
+      out->AppendInt64(tile_col,
+                       GeoTileId(lat.DoubleAt(i), lon.DoubleAt(i), tile_size));
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -394,6 +575,8 @@ UdfDefinition MakeTokenizeUdf() {
   lf1.name = "tokenize-lf1";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs;
+  lf1.reads = {"tweet_text"};
+  lf1.passed = {"user_id"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("user_id") || !in.Has("tweet_text")) {
       return Status::InvalidArgument("needs user_id, tweet_text");
@@ -401,13 +584,16 @@ UdfDefinition MakeTokenizeUdf() {
     return TwoColSchema("user_id", DataType::kInt64, "token",
                         DataType::kString);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& text = row[ctx.In("tweet_text")];
-    if (text.is_null()) return;
-    const Value& uid = row[ctx.In("user_id")];
-    for (std::string& tok : TokenizeWords(text.as_string())) {
-      out->push_back(Row{uid, Value(std::move(tok))});
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& text = in.column(ctx.cols[0]);
+    std::string buf;
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      if (text.IsNull(i)) continue;
+      ForEachWord(text.StringAt(i), &buf, [&](std::string_view word) {
+        out->Keep(i);
+        out->AppendString(1, word);
+      });
     }
   };
   udf.local_functions.push_back(std::move(lf1));
@@ -431,13 +617,16 @@ UdfDefinition MakeWordCountUdf() {
   lf1.name = "wordcount-lf1-emit";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs;
+  lf1.passed = {"token"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("token")) return Status::InvalidArgument("needs token");
     return TwoColSchema("word", DataType::kString, "_one", DataType::kInt64);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    out->push_back(Row{row[ctx.In("token")], Value(int64_t{1})});
+  lf1.map_fn = [](const RowBatch& in, const LfContext&, BatchBuilder* out) {
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      out->Keep(i);
+      out->AppendInt64(1, 1);
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
 
@@ -446,15 +635,17 @@ UdfDefinition MakeWordCountUdf() {
   lf2.kind = LfKind::kReduce;
   lf2.op_types = kOpGroup | kOpAttrs | kOpFilter;
   lf2.group_keys = {"word"};
+  lf2.passed = {"word"};
+  lf2.params = {{"min_count", Value(0.0)}};
   lf2.out_schema = [](const Schema&, const Params&) -> Result<Schema> {
     return TwoColSchema("word", DataType::kString, "wcount", DataType::kInt64);
   };
-  lf2.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                     std::vector<Row>* out) {
-    auto count = static_cast<int64_t>(group.size());
-    if (static_cast<double>(count) >
-        ParamDouble(*ctx.params, "min_count", 0.0)) {
-      out->push_back(Row{group.front()[ctx.In("word")], Value(count)});
+  lf2.reduce_fn = [](const RowBatch&, RowRange group, const LfContext& ctx,
+                     BatchBuilder* out) {
+    const auto count = static_cast<int64_t>(group.size());
+    if (static_cast<double>(count) > ctx.params[0].ToDouble()) {
+      out->Keep(static_cast<uint32_t>(group.begin));
+      out->AppendInt64(1, count);
     }
   };
   udf.local_functions.push_back(std::move(lf2));
@@ -475,6 +666,9 @@ UdfDefinition MakeMenuSimilarityUdf() {
   lf1.name = "menusim-lf1";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs | kOpFilter;
+  lf1.reads = {"menu_text"};
+  lf1.passed = {"*"};
+  lf1.params = {{"ref_menu", Value("")}, {"min_sim", Value(0.1)}};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("menu_text")) {
       return Status::InvalidArgument("needs menu_text");
@@ -483,16 +677,20 @@ UdfDefinition MakeMenuSimilarityUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"menu_sim", DataType::kDouble}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& menu = row[ctx.In("menu_text")];
-    std::string ref = ParamString(*ctx.params, "ref_menu", "");
-    double sim =
-        menu.is_null() ? 0.0 : JaccardSimilarity(menu.as_string(), ref);
-    if (sim > ParamDouble(*ctx.params, "min_sim", 0.1)) {
-      Row r = row;
-      r.push_back(Value(sim));
-      out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& menu = in.column(ctx.cols[0]);
+    std::string buf;
+    const std::set<std::string> ref = WordSet(ctx.params[0].ToString(), &buf);
+    const double min_sim = ctx.params[1].ToDouble();
+    const size_t sim_col = in.num_columns();
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      const double sim =
+          menu.IsNull(i) ? 0.0 : Jaccard(WordSet(menu.StringAt(i), &buf), ref);
+      if (sim > min_sim) {
+        out->Keep(i);
+        out->AppendDouble(sim_col, sim);
+      }
     }
   };
   udf.local_functions.push_back(std::move(lf1));
@@ -514,6 +712,8 @@ UdfDefinition MakeParseLogUdf() {
   lf1.name = "parselog-lf1";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs;
+  lf1.reads = {"raw_meta"};
+  lf1.passed = {"*"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("raw_meta")) return Status::InvalidArgument("needs raw_meta");
     Schema out = in;
@@ -521,15 +721,18 @@ UdfDefinition MakeParseLogUdf() {
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"device", DataType::kString}));
     return out;
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& meta = row[ctx.In("raw_meta")];
-    std::string lang, device;
-    ParseLogMeta(meta.is_null() ? "" : meta.as_string(), &lang, &device);
-    Row r = row;
-    r.push_back(Value(std::move(lang)));
-    r.push_back(Value(std::move(device)));
-    out->push_back(std::move(r));
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& meta = in.column(ctx.cols[0]);
+    const size_t lang_col = in.num_columns();
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      std::string_view lang, device;
+      ParseLogFields(meta.IsNull(i) ? std::string_view() : meta.StringAt(i),
+                     &lang, &device);
+      out->Keep(i);
+      out->AppendString(lang_col, lang);
+      out->AppendString(lang_col + 1, device);
+    }
   };
   udf.local_functions.push_back(std::move(lf1));
   return udf;
@@ -554,30 +757,39 @@ UdfDefinition MakeHashtagTrendsUdf() {
   lf1.name = "hashtags-lf1-extract";
   lf1.kind = LfKind::kMap;
   lf1.op_types = kOpAttrs | kOpFilter;
+  lf1.reads = {"tweet_text", "user_id"};
   lf1.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     if (!in.Has("user_id") || !in.Has("tweet_text")) {
       return Status::InvalidArgument("needs user_id, tweet_text");
     }
     return TwoColSchema("tag", DataType::kString, "_user", DataType::kInt64);
   };
-  lf1.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    const Value& text = row[ctx.In("tweet_text")];
-    if (text.is_null()) return;
-    const std::string& s = text.as_string();
-    const Value& uid = row[ctx.In("user_id")];
-    size_t i = 0;
-    while ((i = s.find('#', i)) != std::string::npos) {
-      size_t j = i + 1;
-      while (j < s.size() &&
-             (std::isalnum(static_cast<unsigned char>(s[j])) || s[j] == '_')) {
-        ++j;
+  lf1.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& text = in.column(ctx.cols[0]);
+    const ColumnVector& users = in.column(ctx.cols[1]);
+    std::string tag;
+    for (size_t r = 0; r < in.num_rows(); ++r) {
+      if (text.IsNull(r)) continue;
+      const std::string_view s = text.StringAt(r);
+      size_t i = 0;
+      while ((i = s.find('#', i)) != std::string_view::npos) {
+        size_t j = i + 1;
+        while (j < s.size() && (std::isalnum(static_cast<unsigned char>(s[j])) ||
+                                s[j] == '_')) {
+          ++j;
+        }
+        if (j > i + 1) {
+          tag.clear();
+          for (size_t c = i + 1; c < j; ++c) {
+            tag.push_back(static_cast<char>(
+                std::tolower(static_cast<unsigned char>(s[c]))));
+          }
+          out->AppendString(0, tag);
+          out->AppendCell(1, users, r);
+        }
+        i = j;
       }
-      if (j > i + 1) {
-        out->push_back(Row{Value(ToLowerAscii(s.substr(i + 1, j - i - 1))),
-                           uid});
-      }
-      i = j;
     }
   };
   udf.local_functions.push_back(std::move(lf1));
@@ -587,16 +799,21 @@ UdfDefinition MakeHashtagTrendsUdf() {
   lf2.kind = LfKind::kReduce;
   lf2.op_types = kOpGroup | kOpAttrs;
   lf2.group_keys = {"tag"};
+  lf2.reads = {"_user"};
+  lf2.passed = {"tag"};
   lf2.out_schema = [](const Schema&, const Params&) -> Result<Schema> {
     return TwoColSchema("tag", DataType::kString, "tag_users",
                         DataType::kInt64);
   };
-  lf2.reduce_fn = [](const std::vector<Row>& group, const LfContext& ctx,
-                     std::vector<Row>* out) {
-    std::set<int64_t> users;
-    for (const Row& r : group) users.insert(r[ctx.In("_user")].as_int64());
-    out->push_back(Row{group.front()[ctx.In("tag")],
-                       Value(static_cast<int64_t>(users.size()))});
+  lf2.reduce_fn = [](const RowBatch& in, RowRange group, const LfContext& ctx,
+                     BatchBuilder* out) {
+    const ColumnVector& users = in.column(ctx.cols[0]);
+    std::set<int64_t> distinct;
+    for (size_t r = group.begin; r < group.end; ++r) {
+      distinct.insert(users.Int64At(r));
+    }
+    out->Keep(static_cast<uint32_t>(group.begin));
+    out->AppendInt64(1, static_cast<int64_t>(distinct.size()));
   };
   udf.local_functions.push_back(std::move(lf2));
 
@@ -604,20 +821,25 @@ UdfDefinition MakeHashtagTrendsUdf() {
   lf3.name = "hashtags-lf3-tier";
   lf3.kind = LfKind::kMap;
   lf3.op_types = kOpAttrs | kOpFilter;
+  lf3.reads = {"tag_users"};
+  lf3.passed = {"*"};
+  lf3.params = {{"min_users", Value(2.0)}};
   lf3.out_schema = [](const Schema& in, const Params&) -> Result<Schema> {
     Schema out = in;
     OPD_RETURN_NOT_OK(out.AddColumn(Column{"trend_tier", DataType::kString}));
     return out;
   };
-  lf3.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    double min_users = ParamDouble(*ctx.params, "min_users", 2.0);
-    double users = row[ctx.In("tag_users")].ToDouble();
-    if (users <= min_users) return;
-    Row r = row;
-    r.push_back(Value(users > 4 * min_users ? std::string("hot")
-                                            : std::string("rising")));
-    out->push_back(std::move(r));
+  lf3.map_fn = [](const RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const ColumnVector& tag_users = in.column(ctx.cols[0]);
+    const double min_users = ctx.params[0].ToDouble();
+    const size_t tier_col = in.num_columns();
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      const double users = tag_users.DoubleAt(i);
+      if (users <= min_users) continue;
+      out->Keep(i);
+      out->AppendString(tier_col, users > 4 * min_users ? "hot" : "rising");
+    }
   };
   udf.local_functions.push_back(std::move(lf3));
   return udf;

@@ -2,8 +2,9 @@
 // lat/lon extractor, word count, menu similarity, geographic tiling, log
 // parser, friendship strength, network influence.
 //
-// Each UDF is a composition of local functions performing genuine work
-// (tokenizing, scoring, parsing) plus its gray-box model annotation. UDFs are
+// Each UDF is a composition of batch-at-a-time local functions performing
+// genuine work (tokenizing, scoring, parsing) plus its gray-box model
+// annotation. UDFs are
 // referenced from plans by name via the UdfRegistry.
 
 #ifndef OPD_UDF_BUILTIN_UDFS_H_
@@ -19,6 +20,10 @@
 namespace opd::udf {
 
 // --- Text analytics helpers (exposed for tests) ---------------------------
+// The per-row definitions of what the UDFs compute; the reference
+// interpreter's UDF bodies are built on them. The batch bodies share
+// GeoTileId and ParseLatLon, and compute the others allocation-free
+// (words lowercased into one reused buffer, log fields as views).
 
 /// Sums lexicon weights of the words in `text`. Lexicon names: "wine",
 /// "food", "luxury". Unknown lexicons score 0.

@@ -1,6 +1,6 @@
 // The columnar/row boundary: view statistics are sampled column-wise from
-// batches, and UDF map tasks read batch cells into scratch rows and build
-// their output batches per task. Each suite checks one side against a
+// batches, and UDF local functions read and build batches, checked against
+// the reference interpreter's per-row bodies. Each suite checks one side against a
 // row-based oracle, over tables built with AppendRow and with FromBatches
 // in several batch layouts:
 //  - StatsIdentity: StatsCollector / ComputeExactStats equal the
@@ -28,6 +28,7 @@
 #include "exec/udf_exec.h"
 #include "oql/printer.h"
 #include "reference_exec.h"
+#include "reference_udfs.h"
 #include "server/server.h"
 #include "storage/row_batch.h"
 #include "storage/table.h"
@@ -246,22 +247,41 @@ udf::LocalFunction NameLengthMap() {
   lf.name = "boundary-name-length";
   lf.kind = udf::LfKind::kMap;
   lf.op_types = udf::kOpAttrs | udf::kOpFilter;
+  lf.reads = {"id", "name"};
+  lf.passed = {"*"};
   lf.out_schema = [](const Schema& in, const udf::Params&) -> Result<Schema> {
     std::vector<Column> cols = in.columns();
     cols.push_back(Column{"name_len", DataType::kInt64});
     return Schema(std::move(cols));
   };
-  lf.map_fn = [](const Row& row, const udf::LfContext& ctx,
-                 std::vector<Row>* out) {
-    const Value& id = row[ctx.In("id")];
-    if (id.is_null()) return;
-    const Value& name = row[ctx.In("name")];
+  lf.map_fn = [](const RowBatch& in, const udf::LfContext& ctx,
+                 udf::BatchBuilder* out) {
+    const storage::ColumnVector& id = in.column(ctx.cols[0]);
+    const storage::ColumnVector& name = in.column(ctx.cols[1]);
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      if (id.IsNull(i)) continue;
+      out->Keep(i);
+      out->AppendInt64(in.num_columns(),
+                       name.IsNull(i)
+                           ? 0
+                           : static_cast<int64_t>(name.StringAt(i).size()));
+    }
+  };
+  return lf;
+}
+
+reference::RowBody NameLengthRows() {
+  reference::RowBody body;
+  body.map = [](const Row& row, const Schema& in, const udf::Params&,
+                reference::Rows* out) {
+    if (reference::Cell(row, in, "id").is_null()) return;
+    const Value& name = reference::Cell(row, in, "name");
     Row o = row;
     o.push_back(Value(static_cast<int64_t>(
         name.is_null() ? 0 : name.as_string().size())));
     out->push_back(std::move(o));
   };
-  return lf;
+  return body;
 }
 
 udf::LocalFunction EvenIdDuplicateMap() {
@@ -269,15 +289,32 @@ udf::LocalFunction EvenIdDuplicateMap() {
   lf.name = "boundary-even-duplicate";
   lf.kind = udf::LfKind::kMap;
   lf.op_types = udf::kOpAttrs;
+  lf.reads = {"id"};
+  lf.passed = {"*"};
   lf.out_schema = [](const Schema& in, const udf::Params&) -> Result<Schema> {
     return in;
   };
-  lf.map_fn = [](const Row& row, const udf::LfContext& ctx,
-                 std::vector<Row>* out) {
-    out->push_back(row);
-    if (row[ctx.In("id")].as_int64() % 2 == 0) out->push_back(row);
+  lf.map_fn = [](const RowBatch& in, const udf::LfContext& ctx,
+                 udf::BatchBuilder* out) {
+    const storage::ColumnVector& id = in.column(ctx.cols[0]);
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      out->Keep(i);
+      if (id.Int64At(i) % 2 == 0) out->Keep(i);
+    }
   };
   return lf;
+}
+
+reference::RowBody EvenIdDuplicateRows() {
+  reference::RowBody body;
+  body.map = [](const Row& row, const Schema& in, const udf::Params&,
+                reference::Rows* out) {
+    out->push_back(row);
+    if (reference::Cell(row, in, "id").as_int64() % 2 == 0) {
+      out->push_back(row);
+    }
+  };
+  return body;
 }
 
 udf::LocalFunction CountByNameReduce() {
@@ -286,28 +323,48 @@ udf::LocalFunction CountByNameReduce() {
   lf.kind = udf::LfKind::kReduce;
   lf.op_types = udf::kOpGroup;
   lf.group_keys = {"name"};
+  lf.reads = {"score", "mixed"};
+  lf.passed = {"name"};
   lf.out_schema = [](const Schema&, const udf::Params&) -> Result<Schema> {
     return Schema({Column{"name", DataType::kString},
                    Column{"n", DataType::kInt64},
                    Column{"score_sum", DataType::kDouble},
                    Column{"first_mixed", DataType::kInt64}});
   };
-  lf.reduce_fn = [](const std::vector<Row>& group, const udf::LfContext& ctx,
-                    std::vector<Row>* out) {
+  lf.reduce_fn = [](const RowBatch& in, storage::RowRange group,
+                    const udf::LfContext& ctx, udf::BatchBuilder* out) {
+    const storage::ColumnVector& score = in.column(ctx.cols[0]);
     double sum = 0;
-    for (const Row& r : group) sum += r[ctx.In("score")].ToDouble();
-    out->push_back({group[0][ctx.In("name")],
-                    Value(static_cast<int64_t>(group.size())), Value(sum),
-                    group[0][ctx.In("mixed")]});
+    for (size_t r = group.begin; r < group.end; ++r) sum += score.DoubleAt(r);
+    out->Keep(static_cast<uint32_t>(group.begin));
+    out->AppendInt64(1, static_cast<int64_t>(group.size()));
+    out->AppendDouble(2, sum);
+    out->AppendCell(3, in.column(ctx.cols[1]), group.begin);
   };
   return lf;
 }
 
+reference::RowBody CountByNameRows() {
+  reference::RowBody body;
+  body.reduce = [](const reference::Rows& group, const Schema& in,
+                   const udf::Params&, reference::Rows* out) {
+    double sum = 0;
+    for (const Row& r : group) sum += reference::Cell(r, in, "score").ToDouble();
+    out->push_back({reference::Cell(group[0], in, "name"),
+                    Value(static_cast<int64_t>(group.size())), Value(sum),
+                    reference::Cell(group[0], in, "mixed")});
+  };
+  return body;
+}
+
 // Runs `def` serially and on a pool with small map splits, over the
 // AppendRow table and both FromBatches twins: every output must hold the
-// reference interpreter's rows, and the twins' outputs must equal the
-// AppendRow input's cell for cell, in order.
-void ExpectBoundaryIdentity(const udf::UdfDefinition& def) {
+// reference interpreter's rows (from `bodies`, the per-row bodies of
+// `def`), and the twins' outputs must equal the AppendRow input's cell for
+// cell, in order.
+void ExpectBoundaryIdentity(const udf::UdfDefinition& def,
+                            std::vector<reference::RowBody> bodies) {
+  reference::RegisterRowBodies(def.name, std::move(bodies));
   const Table rows = MixedRowTable(2500);
   auto reference_rows = reference::EvaluateUdf(def, rows, {});
   ASSERT_TRUE(reference_rows.ok()) << reference_rows.status().ToString();
@@ -337,7 +394,7 @@ TEST(UdfBatchBoundary, MapOnlyUdf) {
   udf::UdfDefinition def;
   def.name = "UDF_BOUNDARY_MAP";
   def.local_functions.push_back(NameLengthMap());
-  ExpectBoundaryIdentity(def);
+  ExpectBoundaryIdentity(def, {NameLengthRows()});
 }
 
 TEST(UdfBatchBoundary, FusedMapUdf) {
@@ -345,7 +402,7 @@ TEST(UdfBatchBoundary, FusedMapUdf) {
   def.name = "UDF_BOUNDARY_FUSED";
   def.local_functions.push_back(NameLengthMap());
   def.local_functions.push_back(EvenIdDuplicateMap());
-  ExpectBoundaryIdentity(def);
+  ExpectBoundaryIdentity(def, {NameLengthRows(), EvenIdDuplicateRows()});
 }
 
 TEST(UdfBatchBoundary, LeadingReduceUdf) {
@@ -353,10 +410,16 @@ TEST(UdfBatchBoundary, LeadingReduceUdf) {
   def.name = "UDF_BOUNDARY_REDUCE";
   def.local_functions.push_back(CountByNameReduce());
   udf::LocalFunction tail = EvenIdDuplicateMap();
-  tail.map_fn = [](const Row& row, const udf::LfContext&,
-                   std::vector<Row>* out) { out->push_back(row); };
+  tail.reads = {};
+  tail.map_fn = [](const RowBatch& in, const udf::LfContext&,
+                   udf::BatchBuilder* out) {
+    for (uint32_t i = 0; i < in.num_rows(); ++i) out->Keep(i);
+  };
   def.local_functions.push_back(std::move(tail));
-  ExpectBoundaryIdentity(def);
+  reference::RowBody identity;
+  identity.map = [](const Row& row, const Schema&, const udf::Params&,
+                    reference::Rows* out) { out->push_back(row); };
+  ExpectBoundaryIdentity(def, {CountByNameRows(), identity});
 }
 
 // --- ServingNoRowCache -------------------------------------------------------

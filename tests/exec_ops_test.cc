@@ -111,14 +111,15 @@ TEST(UdfJobTasks, ReduceBucketsCountAsReduceTasks) {
 
 // --- Failure path under both schedules ---------------------------------------
 
-// UDF_TOKENIZE's model whose map emits a one-column row into its
-// two-column output schema.
+// UDF_TOKENIZE's model whose map emits rows with only their passed
+// user_id cell into its two-column output schema.
 udf::UdfDefinition WrongArityUdf() {
   udf::UdfDefinition def = udf::MakeTokenizeUdf();
   def.name = "UDF_WRONG_ARITY";
-  def.local_functions[0].map_fn = [](const Row& row, const udf::LfContext& ctx,
-                                     std::vector<Row>* out) {
-    out->push_back(Row{row[ctx.In("user_id")]});
+  def.local_functions[0].map_fn = [](const storage::RowBatch& in,
+                                     const udf::LfContext&,
+                                     udf::BatchBuilder* out) {
+    for (uint32_t i = 0; i < in.num_rows(); ++i) out->Keep(i);
   };
   return def;
 }

@@ -7,6 +7,7 @@
 
 #include "afk/predicate.h"
 #include "oql/parser.h"
+#include "reference_udfs.h"
 
 namespace opd::reference {
 namespace {
@@ -84,26 +85,34 @@ struct Agg {
 };
 
 // Map stages run one row at a time; reduce stages fold rows into a
-// std::map of key groups and reduce them in ascending key order.
+// std::map of key groups and reduce them in ascending key order. The
+// bodies are the oracle's own per-row ones (reference_udfs.h); only the
+// stage schemas and group keys come from the definition.
 Result<Rel> RunUdf(const udf::UdfDefinition& def, const udf::Params& params,
                    const Rel& in) {
+  OPD_ASSIGN_OR_RETURN(std::vector<RowBody> bodies, RowBodies(def.name));
+  if (bodies.size() != def.local_functions.size()) {
+    return Status::Internal("reference: stage count mismatch for " +
+                            def.name);
+  }
   Rel cur = in;
-  for (const udf::LocalFunction& lf : def.local_functions) {
+  for (size_t s = 0; s < bodies.size(); ++s) {
+    const udf::LocalFunction& lf = def.local_functions[s];
     OPD_ASSIGN_OR_RETURN(Schema schema, lf.out_schema(cur.schema, params));
-    udf::LfContext ctx;
-    ctx.in_schema = &cur.schema;
-    ctx.out_schema = &schema;
-    ctx.params = &params;
     Rows next;
     if (lf.kind == udf::LfKind::kMap) {
-      for (const Row& row : cur.rows) lf.map_fn(row, ctx, &next);
+      for (const Row& row : cur.rows) {
+        bodies[s].map(row, cur.schema, params, &next);
+      }
     } else {
       OPD_ASSIGN_OR_RETURN(auto keys, Cols(cur.schema, lf.group_keys));
       std::map<Row, Rows, RowLess> groups;
       for (const Row& row : cur.rows) {
         groups[Pick(row, keys)].push_back(row);
       }
-      for (const auto& [key, rows] : groups) lf.reduce_fn(rows, ctx, &next);
+      for (const auto& [key, rows] : groups) {
+        bodies[s].reduce(rows, cur.schema, params, &next);
+      }
     }
     cur = Rel{std::move(schema), std::move(next)};
   }

@@ -6,7 +6,7 @@
 // nested loops over Value equality, group-by folds rows into a std::map in
 // input-row order (so double sums round exactly as a serial pass does), and
 // UDF local functions run one row (map) or one key group (reduce) at a
-// time. Results come back as plain row vectors; tests compare them with the
+// time, through the oracle's own per-row bodies (reference_udfs.h). Results come back as plain row vectors; tests compare them with the
 // engine's as sorted multisets (SameRows), since the engine's row order is
 // an implementation choice.
 //

@@ -6,6 +6,7 @@
 
 #include "exec/udf_exec.h"
 #include "reference_exec.h"
+#include "reference_udfs.h"
 #include "udf/builtin_udfs.h"
 #include "udf/udf.h"
 #include "udf/udf_registry.h"
@@ -267,12 +268,16 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   dbl.name = "chain-lf1-double";
   dbl.kind = LfKind::kMap;
   dbl.op_types = kOpAttrs;
+  dbl.reads = {"x"};
   dbl.out_schema = [](const Schema&, const Params&) -> Result<Schema> {
     return Schema({Column{"y", DataType::kInt64}});
   };
-  dbl.map_fn = [](const Row& row, const LfContext& ctx,
-                  std::vector<Row>* out) {
-    out->push_back({Value(row[ctx.In("x")].as_int64() * 2)});
+  dbl.map_fn = [](const storage::RowBatch& in, const LfContext& ctx,
+                  BatchBuilder* out) {
+    const storage::ColumnVector& x = in.column(ctx.cols[0]);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      out->AppendInt64(0, x.Int64At(i) * 2);
+    }
   };
   udf.local_functions.push_back(std::move(dbl));
 
@@ -280,14 +285,17 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   expand.name = "chain-lf2-expand";
   expand.kind = LfKind::kMap;
   expand.op_types = kOpAttrs;
+  expand.reads = {"y"};
   expand.out_schema = [](const Schema&, const Params&) -> Result<Schema> {
     return Schema({Column{"z", DataType::kInt64}});
   };
-  expand.map_fn = [](const Row& row, const LfContext& ctx,
-                     std::vector<Row>* out) {
-    const int64_t y = row[ctx.In("y")].as_int64();
-    out->push_back({Value(y)});
-    out->push_back({Value(y + 1)});
+  expand.map_fn = [](const storage::RowBatch& in, const LfContext& ctx,
+                     BatchBuilder* out) {
+    const storage::ColumnVector& y = in.column(ctx.cols[0]);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      out->AppendInt64(0, y.Int64At(i));
+      out->AppendInt64(0, y.Int64At(i) + 1);
+    }
   };
   udf.local_functions.push_back(std::move(expand));
 
@@ -295,13 +303,39 @@ TEST_F(UdfExecTest, PipelinedFusesConsecutiveMapStagesIdentically) {
   keep_even.name = "chain-lf3-keep-even";
   keep_even.kind = LfKind::kMap;
   keep_even.op_types = kOpFilter;
+  keep_even.reads = {"z"};
+  keep_even.passed = {"*"};
   keep_even.out_schema = [](const Schema& in, const Params&) ->
       Result<Schema> { return in; };
-  keep_even.map_fn = [](const Row& row, const LfContext& ctx,
-                        std::vector<Row>* out) {
-    if (row[ctx.In("z")].as_int64() % 2 == 0) out->push_back(row);
+  keep_even.map_fn = [](const storage::RowBatch& in, const LfContext& ctx,
+                        BatchBuilder* out) {
+    const storage::ColumnVector& z = in.column(ctx.cols[0]);
+    for (uint32_t i = 0; i < in.num_rows(); ++i) {
+      if (z.Int64At(i) % 2 == 0) out->Keep(i);
+    }
   };
   udf.local_functions.push_back(std::move(keep_even));
+
+  // The oracle's per-row bodies of the same three stages.
+  reference::RowBody dbl_rows, expand_rows, keep_even_rows;
+  dbl_rows.map = [](const Row& row, const Schema& in, const Params&,
+                    reference::Rows* out) {
+    out->push_back({Value(reference::Cell(row, in, "x").as_int64() * 2)});
+  };
+  expand_rows.map = [](const Row& row, const Schema& in, const Params&,
+                       reference::Rows* out) {
+    const int64_t y = reference::Cell(row, in, "y").as_int64();
+    out->push_back({Value(y)});
+    out->push_back({Value(y + 1)});
+  };
+  keep_even_rows.map = [](const Row& row, const Schema& in, const Params&,
+                          reference::Rows* out) {
+    if (reference::Cell(row, in, "z").as_int64() % 2 == 0) {
+      out->push_back(row);
+    }
+  };
+  reference::RegisterRowBodies(udf.name,
+                               {dbl_rows, expand_rows, keep_even_rows});
 
   Table t("nums", Schema({Column{"x", DataType::kInt64}}));
   for (int64_t i = 0; i < 200; ++i) {
